@@ -2,8 +2,9 @@
 
 Subcommands: pretrain, tune, ablate, analyze, gradcheck, bench-dispatch,
 split-inspect. Every run writes a manifest.json holding the resolved config,
-effective seed, thread count, and input hashes, so a run is reproducible from
-its manifest alone. Commands never mutate their input files.
+effective seed, thread count, input hashes, and the matrix kernel with the
+numpy and BLAS versions under it, so a run is reproducible from its manifest
+alone. Commands never mutate their input files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
 3 divergence, 4 step-0 identity violation, 5 gradcheck failure. The bench
@@ -47,7 +48,7 @@ from .harness import (
     run_gradcheck,
 )
 from .moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, load_balance_loss, split_ffn
-from .numkernel import STREAM_BENCH, make_rng
+from .numkernel import KERNEL, STREAM_BENCH, make_rng
 from .serialize import (
     FormatError,
     load_ffn,
@@ -176,6 +177,7 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
     for name, path in (extra_inputs or {}).items():
         inputs[name] = {"path": str(path),
                         "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -184,6 +186,10 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
         "seed": getattr(args, "seed", None),
         "threads": _resolve_threads(args),
         "dtype": "f32" if getattr(args, "f32", False) else "f64",
+        # the bytes of every output depend on the matrix kernel and the BLAS under it
+        "kernel": KERNEL,
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "out_dir": str(out_dir),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }

@@ -7,14 +7,33 @@ float32 is an opt-in mode and callers using it must relax tolerances.
 Reproducibility contract
 ------------------------
 Every matrix product in this package funnels through :func:`mm`, which
-canonicalizes operand layout and evaluates through a single fixed-order
-reduction (``np.einsum``, no BLAS). This buys two properties everything
-downstream leans on:
+canonicalizes operand layout and evaluates through one kernel chosen at
+import (:data:`KERNEL`). This buys two properties everything downstream
+leans on:
 
 * row stability: ``mm(a, b)[i]`` is bitwise identical to
   ``mm(a[i:i+1], b)[0]``, no matter how many rows are evaluated together
   or whether the operands are views or copies;
 * thread independence: results do not depend on process thread settings.
+
+The default kernel is a fixed-block BLAS product: the rows of ``a`` are
+zero-padded to a multiple of :data:`ROW_BLOCK` and multiplied as a stack of
+``(ROW_BLOCK, n) @ (n, p)`` gemm calls. BLAS picks its code path, tiling and
+reduction order from the call shape, and every call a product makes has the
+same shape whatever ``m`` is; within a call, each output element is a dot
+product over ``n`` whose order does not depend on the element's row. So a
+row's bits depend on ``a[i]`` and ``b`` alone. OpenBLAS splits a call across
+threads by rows and columns of the output, never along ``n``, so the thread
+count does not change the bits either. These are properties of a BLAS build,
+not promises of the BLAS interface. An import-time probe therefore checks
+row stability at every block position, for float64 and float32, on small
+shapes (where OpenBLAS may take its small-matrix kernel) and on one large
+enough for its blocked, threaded path. If it fails, :func:`mm` uses a
+single ``np.einsum`` reduction instead, which keeps both properties on any
+platform at ~10x the cost. Thread independence is checked by
+``tests/test_numkernel.py``, which compares the bytes of the expert
+products under one and two BLAS threads; at import it would cost a
+subprocess.
 
 :func:`softmax_rows` keeps the same row-stability property. Together these
 make "batched path equals per-token loop, bitwise" a provable invariant
@@ -55,19 +74,73 @@ class ShapeError(ValueError):
         super().__init__(f"{op}: incompatible shapes {joined}")
 
 
-def mm(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with a fixed, layout-independent reduction order.
+# Rows per gemm call of the blocked kernel, the same for every (n, p) and
+# dtype. Larger blocks run the expert products faster, but a lone row pays
+# for a whole block, which the per-token loop oracle feels. Measured on 2
+# vCPUs (Xeon, OpenBLAS 0.3.31): dispatch at the bench-dispatch default shape
+# took 0.34 / 0.27 / 0.26 s at 16 / 32 / 64 rows, a lone 1x256x512 row
+# 0.11 / 0.18 / 0.25 ms (einsum: 0.04 ms); 128 rows doubled the lone-row
+# cost again for a dispatch gain inside the noise.
+ROW_BLOCK = 64
 
-    Operands are brought to C-contiguous layout before the einsum so the
-    inner-loop kernel (and therefore the exact rounding) depends only on the
-    shared dimension, never on how the caller sliced or transposed its
-    arrays.
+
+def _mm_blocked(a: Matrix, b: Matrix) -> Matrix:
+    m, n = a.shape
+    blocks = -(-m // ROW_BLOCK)
+    if m % ROW_BLOCK:
+        padded = np.zeros((blocks * ROW_BLOCK, n), dtype=a.dtype)
+        padded[:m] = a
+        a = padded
+    out = np.matmul(a.reshape(blocks, ROW_BLOCK, n), b)
+    return out.reshape(blocks * ROW_BLOCK, b.shape[1])[:m]
+
+
+def _mm_einsum(a: Matrix, b: Matrix) -> Matrix:
+    return np.einsum("mn,np->mp", a, b)
+
+
+# (n, p) probe shapes. A (ROW_BLOCK, n) @ (n, p) call under 100**3
+# multiply-adds may take OpenBLAS's small-matrix kernel (the first two); the
+# last is above it and above OpenBLAS's threading cut-off, so it takes the
+# blocked, threaded path.
+_PROBE_SHAPES = ((8, 32), (33, 7), (256, 96))
+
+
+def _rows_stable(kernel) -> bool:
+    """Whether every row of a product through ``kernel`` equals the row alone.
+
+    Rows span a whole block plus one, so every block position and the
+    zero-padded tail are covered.
+    """
+    rng = np.random.default_rng(0)
+    for dtype in (np.float64, np.float32):
+        for n, p in _PROBE_SHAPES:
+            a = rng.standard_normal((ROW_BLOCK + 1, n)).astype(dtype)
+            b = rng.standard_normal((n, p)).astype(dtype)
+            full = kernel(a, b)
+            if not all(np.array_equal(full[i], kernel(a[i:i + 1], b)[0]) for i in range(len(a))):
+                return False
+    return True
+
+
+if _rows_stable(_mm_blocked):
+    _kernel, KERNEL = _mm_blocked, f"blas-rowblock-{ROW_BLOCK}"
+else:
+    _kernel, KERNEL = _mm_einsum, "einsum"
+
+
+def mm(a: Matrix, b: Matrix) -> Matrix:
+    """Row-stable matrix product ``a @ b``; see the module docstring.
+
+    Operands are brought to C-contiguous layout first, so the kernel (and
+    therefore the exact rounding) depends only on the shapes, never on how
+    the caller sliced or transposed its arrays.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("mm", a.shape, b.shape)
-    return np.einsum("mn,np->mp", np.ascontiguousarray(a), np.ascontiguousarray(b))
+    return _kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:

@@ -8,6 +8,7 @@ import pytest
 import moeforge.cli
 import moeforge.harness
 import moeforge.moe
+from moeforge import numkernel
 from moeforge.cli import default_config, load_config, main, ConfigError
 
 SMALL_CONFIG = {
@@ -74,6 +75,9 @@ class TestPretrainCommand:
         assert manifest["command"] == "pretrain"
         assert manifest["resolved_config"]["train"]["steps"] == 40
         assert "sha256" in manifest["inputs"]["config"]
+        assert manifest["kernel"] == numkernel.KERNEL
+        assert manifest["numpy"] == np.__version__
+        assert set(manifest["blas"]) == {"name", "version"}
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import moeforge
+from moeforge import numkernel
 from moeforge.numkernel import (
+    ROW_BLOCK,
     ShapeError,
     gelu,
     gelu_grad,
@@ -44,24 +51,58 @@ class TestMatvec:
         assert "(2, 3)" in str(exc.value) and "(4,)" in str(exc.value)
 
 
+def assert_rows_stable():
+    # a batched product row must equal the same row computed alone, bitwise;
+    # row counts straddle the kernel's block boundaries
+    rng = make_rng(2)
+    for dtype in (np.float64, np.float32):
+        for n in (1, 2, 7, 16, 33, 255):
+            for rows in (17, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1):
+                a = (rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-2, 3)).astype(dtype)
+                b = rng.normal(size=(n, 9)).astype(dtype)
+                full = mm(a, b)
+                assert full.dtype == dtype
+                for t in range(rows):
+                    assert np.array_equal(full[t], mm(a[t:t + 1], b)[0])
+
+
+@pytest.fixture
+def einsum_fallback(monkeypatch):
+    monkeypatch.setattr(numkernel, "_kernel", numkernel._mm_einsum)
+
+
 class TestMm:
     def test_row_stability(self):
-        # a batched product row must equal the same row computed alone, bitwise
-        rng = make_rng(2)
-        for n in (1, 2, 7, 16, 33, 255):
-            a = rng.normal(size=(17, n)) * 10.0 ** rng.integers(-2, 3)
-            b = rng.normal(size=(n, 9))
-            full = mm(a, b)
-            for t in range(17):
-                assert np.array_equal(full[t], mm(a[t:t + 1], b)[0])
+        assert_rows_stable()
+
+    def test_row_stability_einsum_fallback(self, einsum_fallback):
+        assert_rows_stable()
+
+    def test_probe_accepts_einsum_and_rejects_position_dependence(self):
+        def skewed(a, b):
+            out = numkernel._mm_einsum(a, b)
+            out[1::2] = np.nextafter(out[1::2], np.inf)
+            return out
+
+        assert numkernel._rows_stable(numkernel._mm_einsum)
+        assert not numkernel._rows_stable(skewed)
 
     def test_layout_independence(self):
         rng = make_rng(3)
         w = rng.normal(size=(12, 7))
         a = rng.normal(size=(5, 7))
         assert np.array_equal(mm(a, w.T), mm(a, np.ascontiguousarray(w.T)))
+        assert np.array_equal(mm(a, np.asfortranarray(w.T)), mm(a, np.ascontiguousarray(w.T)))
         view = rng.normal(size=(10, 7))[::2]
         assert np.array_equal(mm(view, w.T), mm(view.copy(), w.T))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_dimensions(self, dtype):
+        no_rows = mm(np.zeros((0, 3), dtype), np.ones((3, 4), dtype))
+        assert no_rows.shape == (0, 4) and no_rows.dtype == dtype
+        no_inner = mm(np.ones((ROW_BLOCK + 3, 0), dtype), np.ones((0, 4), dtype))
+        assert no_inner.dtype == dtype
+        assert np.array_equal(no_inner, np.zeros((ROW_BLOCK + 3, 4), dtype))
 
     def test_matches_blas_reference(self):
         rng = make_rng(4)
@@ -77,6 +118,38 @@ class TestMm:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             mm(np.zeros((2, 3)), np.zeros((4, 2)))
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from moeforge.numkernel import make_rng, mm
+rng = make_rng(11)
+a = rng.normal(size=(1000, 256))
+w1 = rng.normal(size=(256, 512))
+w2 = rng.normal(size=(512, 256))
+digest = hashlib.sha256()
+for dtype in (np.float64, np.float32):
+    hidden = mm(a.astype(dtype), w1.astype(dtype))
+    digest.update(hidden.tobytes())
+    digest.update(mm(hidden, w2.astype(dtype)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_independence():
+    # the dispatch-dense expert products (1000 rows of 256 -> 512 -> 256),
+    # computed under one and two BLAS threads, must agree to the byte
+    src = str(Path(moeforge.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 class TestSoftmax:
