@@ -43,6 +43,7 @@ from .harness import (
     run_gradcheck,
 )
 from .moe import (
+    ExpertGroups,
     ExpertParams,
     Gate,
     MoeConfig,
@@ -54,6 +55,7 @@ from .moe import (
     dispatch_batch,
     dispatch_loop,
     expand_supernet,
+    group_by_expert,
     init_router,
     load_balance_loss,
     moe_backward,

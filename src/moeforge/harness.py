@@ -31,6 +31,7 @@ from .moe import (
     balance_loss_backward,
     dispatch_batch,
     expand_supernet,
+    group_by_expert,
     load_balance_loss,
     total_loss,
 )
@@ -293,14 +294,15 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
         layer = model.block
         block_grads = None
         experts = [None] * layer.config.n_experts
-        du = np.zeros_like(u)
-        sel = trace.selected
+        # Same grouping and slot-ordered fold as dispatch_batch's forward.
+        groups = group_by_expert(trace.selected, layer.config.n_experts)
+        du_part = np.empty((trace.selected.size, u.shape[1]), dtype=u.dtype)
         for e in range(layer.config.n_experts):
-            idx = np.nonzero((sel == e).any(axis=1))[0]
-            if idx.size:
-                g, du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
-                experts[e] = g
-                du[idx] += du_e
+            lo, hi = groups.offsets[e], groups.offsets[e + 1]
+            if hi > lo:
+                idx = groups.token_ids[lo:hi]
+                experts[e], du_part[lo:hi] = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
+        du = groups.fold(du_part, np.zeros_like(u))
         aux = load_balance_loss(trace)
         router_w, router_b = balance_loss_backward(trace, u, alpha)
 
@@ -552,8 +554,9 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         if margin < 1e-4:
             continue
         kink = math.inf
+        groups = group_by_expert(trace.selected, moe_cfg.n_experts)
         for e in range(moe_cfg.n_experts):
-            idx = np.nonzero((trace.selected == e).any(axis=1))[0]
+            idx = groups.tokens_of(e)
             if idx.size:
                 z1 = mm(u[idx], layer.experts[e].w1.T) + layer.experts[e].b1
                 kink = min(kink, float(np.min(np.abs(z1))))

@@ -12,11 +12,14 @@ The pieces, in the order a layer comes to life:
   ``granularity`` times, so at step 0 the top-k selection lands on the k
   slices of a single replica and the layer reproduces the base FFN.
 * :func:`moe_forward` / :func:`dispatch_batch` run tokens through the layer.
-  ``dispatch_batch`` groups tokens by expert and evaluates one batch per
-  expert; its output is bitwise identical to looping ``moe_forward`` over
-  tokens (:func:`dispatch_loop`), because both accumulate selected expert
-  outputs in ascending expert order on top of a zero buffer and all matrix
-  products share the kernel's fixed reduction order.
+  ``dispatch_batch`` sorts the (token, slot) assignments by expert once
+  (:func:`group_by_expert`), evaluates one batch per expert into a shared
+  buffer, and folds the buffer back slot by slot. Its output is bitwise
+  identical to looping ``moe_forward`` over tokens (:func:`dispatch_loop`):
+  selections ascend along a row, so both add the selected experts' outputs
+  in ascending expert order on top of a zero buffer, and all matrix
+  products share the kernel's row-stable reduction order. The training
+  backward in :mod:`moeforge.harness` groups and folds the same way.
 * :func:`load_balance_loss` is the utilization penalty
   ``n_experts * sum_i F_i * P_i`` with F the per-expert share of
   assignments and P the mean routing score.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from .numkernel import (
     ensure_finite,
     make_rng,
     mm,
+    single_blas_thread,
     softmax_rows,
 )
 
@@ -252,11 +256,34 @@ def route(r: RouterParams, x: np.ndarray) -> np.ndarray:
 def top_k_select_rows(scores: np.ndarray, top_k: int) -> np.ndarray:
     """Ascending indices of the top_k largest entries per row.
 
-    Ties break toward the lowest index (stable argsort on negated scores).
+    Defined as the first top_k columns of a stable argsort on negated
+    scores: larger first, ties toward the lowest index, -inf after every
+    other value and NaN last. Rows of finite floats take top_k ``argmax``
+    passes instead, each masking its pick with -inf; ``argmax`` returns the
+    first maximum, the same tie-break. Rows holding inf or NaN (where a
+    mask would tie with a score or lose to a NaN) use the definition.
     """
     scores = np.asarray(scores)
-    if not 1 <= top_k <= scores.shape[-1]:
-        raise ValueError(f"top_k {top_k} out of range [1, {scores.shape[-1]}]")
+    n = scores.shape[-1]
+    if not 1 <= top_k <= n:
+        raise ValueError(f"top_k {top_k} out of range [1, {n}]")
+    flat = scores.reshape(-1, n)
+    if flat.dtype.kind != "f":
+        return _top_k_by_argsort(scores, top_k)
+    work = flat.copy()
+    rows = np.arange(len(work))
+    picks = np.empty((len(work), top_k), dtype=np.intp)
+    for j in range(top_k):
+        picks[:, j] = np.argmax(work, axis=1)
+        work[rows, picks[:, j]] = -np.inf
+    odd = ~np.isfinite(flat).all(axis=1)
+    if odd.any():
+        picks[odd] = _top_k_by_argsort(flat[odd], top_k)
+    picks.sort(axis=1)
+    return picks.reshape(scores.shape[:-1] + (top_k,))
+
+
+def _top_k_by_argsort(scores: np.ndarray, top_k: int) -> np.ndarray:
     order = np.argsort(-scores, axis=-1, kind="stable")
     return np.sort(order[..., :top_k], axis=-1)
 
@@ -311,13 +338,66 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     return out, RoutingTrace.from_gates(gates, cfg.n_experts, cfg.top_k)
 
 
+class ExpertGroups(NamedTuple):
+    """Assignments of a (tokens, top_k) selection, sorted once by expert.
+
+    token_ids lists the token of every (token, slot) assignment, grouped by
+    expert and ascending within each group; expert e owns
+    ``token_ids[offsets[e]:offsets[e + 1]]``. pos[t, j] is where the
+    assignment (t, j) landed in that order, so ``part[pos[:, j]]`` gathers
+    every token's slot-j row back out of a buffer laid out like token_ids.
+    """
+
+    token_ids: np.ndarray
+    offsets: np.ndarray
+    pos: np.ndarray
+
+    def tokens_of(self, e: int) -> np.ndarray:
+        return self.token_ids[self.offsets[e]:self.offsets[e + 1]]
+
+    def fold(self, part: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add each token's rows of ``part`` into ``out`` slot by slot, in place.
+
+        Selected indices ascend along a row, so on a zero ``out`` this is
+        :func:`moe_forward`'s fold: zero plus the experts in ascending order.
+        """
+        for j in range(self.pos.shape[1]):
+            out += part[self.pos[:, j]]
+        return out
+
+
+def group_by_expert(selected: np.ndarray, n_experts: int) -> ExpertGroups:
+    """Group a selection by expert with one stable sort of its T*k entries.
+
+    The flattened selection is token-major, so a stable sort keeps tokens
+    in ascending order within each expert.
+    """
+    selected = np.asarray(selected)
+    if selected.ndim != 2:
+        raise ShapeError("group_by_expert", selected.shape)
+    flat = selected.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= n_experts):
+        raise ValueError(f"group_by_expert: expert index out of range [0, {n_experts})")
+    order = np.argsort(flat, kind="stable")
+    offsets = np.zeros(n_experts + 1, dtype=np.intp)
+    np.cumsum(np.bincount(flat, minlength=n_experts), out=offsets[1:])
+    pos = np.empty(flat.size, dtype=np.intp)
+    pos[order] = np.arange(flat.size)
+    return ExpertGroups(order // selected.shape[1], offsets, pos.reshape(selected.shape))
+
+
 def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     """Route a whole batch, then run one batched FFN evaluation per expert.
 
-    Token indices are grouped by selected expert, each expert processes its
-    gathered tokens in one call (optionally across a thread pool), and the
-    partial outputs are scattered back in ascending expert order. The result
-    is bitwise identical to :func:`dispatch_loop`.
+    :func:`group_by_expert` sorts the assignments by expert once. Each
+    expert evaluates its gathered tokens in one call (optionally across a
+    thread pool, with BLAS held at one thread meanwhile) and writes its rows
+    into one (tokens * top_k, dim) buffer. :meth:`ExpertGroups.fold` adds
+    the buffer back slot by slot, ``out += part[pos[:, j]]`` for ascending
+    j, on a zero buffer. Selected indices ascend along a row, so per token
+    this adds the experts in ascending order, the fold of
+    :func:`moe_forward`; with the kernel's row-stable products the result is
+    bitwise identical to :func:`dispatch_loop`.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
@@ -327,25 +407,23 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     selected = top_k_select_rows(scores, cfg.top_k)
     trace = RoutingTrace(cfg.top_k, scores, selected)
 
-    assign = [np.nonzero((selected == e).any(axis=1))[0] for e in range(cfg.n_experts)]
+    groups = group_by_expert(selected, cfg.n_experts)
+    dtype = np.result_type(tokens, layer.experts[0].w1)
+    part = np.empty((selected.size, cfg.token_dim), dtype=dtype)
 
-    def eval_expert(e: int):
-        idx = assign[e]
-        if idx.size == 0:
-            return None
-        return ffn_forward_batch(layer.experts[e], tokens[idx])
+    def eval_expert(e: int) -> None:
+        lo, hi = groups.offsets[e], groups.offsets[e + 1]
+        if hi > lo:
+            part[lo:hi] = ffn_forward_batch(layer.experts[e], tokens[groups.token_ids[lo:hi]])
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(eval_expert, range(cfg.n_experts)))
+        with single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(eval_expert, range(cfg.n_experts)))
     else:
-        partials = [eval_expert(e) for e in range(cfg.n_experts)]
+        for e in range(cfg.n_experts):
+            eval_expert(e)
 
-    out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
-    # Ascending scatter: per token this reproduces moe_forward's zero + add fold.
-    for e in range(cfg.n_experts):
-        if partials[e] is not None:
-            out[assign[e]] += partials[e]
+    out = groups.fold(part, np.zeros((tokens.shape[0], cfg.token_dim), dtype=dtype))
     return out, trace
 
 

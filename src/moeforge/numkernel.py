@@ -33,7 +33,8 @@ single ``np.einsum`` reduction instead, which keeps both properties on any
 platform at ~10x the cost. Thread independence is checked by
 ``tests/test_numkernel.py``, which compares the bytes of the expert
 products under one and two BLAS threads; at import it would cost a
-subprocess.
+subprocess. Because bits do not depend on it, a caller running products on
+its own thread pool may hold BLAS at one thread (:func:`single_blas_thread`).
 
 :func:`softmax_rows` keeps the same row-stability property. Together these
 make "batched path equals per-token loop, bitwise" a provable invariant
@@ -42,7 +43,12 @@ rather than a numerical accident.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -141,6 +147,51 @@ def mm(a: Matrix, b: Matrix) -> Matrix:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("mm", a.shape, b.shape)
     return _kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    The library is already loaded by numpy; opening it again by path returns
+    the same handle, so the calls act on the BLAS that :func:`mm` uses.
+    Looked up on first use rather than at import.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    for path in sorted(glob.glob(libs)):
+        try:
+            lib = ctypes.CDLL(path)
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def single_blas_thread():
+    """Hold BLAS at one thread inside the block, then restore the old count.
+
+    For callers that run products on their own thread pool, where BLAS
+    threads on top would oversubscribe the cores. The count is
+    process-wide, so it is set and restored, on error too. Bits do not
+    depend on it (see the module docstring). Does nothing when the OpenBLAS
+    thread calls are not found. Not for concurrent callers: each restores
+    the count it found.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moeforge import moe, numkernel
 from moeforge.moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, moe_forward
 from moeforge.numkernel import ShapeError, make_rng
 
@@ -62,6 +63,40 @@ def test_thread_count_does_not_change_bits(threads, rng):
     reference, ref_trace = dispatch_batch(layer, tokens, threads=1)
     out, trace = dispatch_batch(layer, tokens, threads=threads)
     _assert_identical((out, trace), (reference, ref_trace))
+
+
+@pytest.mark.skipif(numkernel._openblas_thread_calls() is None, reason="OpenBLAS thread calls not found")
+def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
+    get, put = numkernel._openblas_thread_calls()
+    layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2)
+    tokens = rng.normal(size=(40, cfg.token_dim))
+    real = moe.ffn_forward_batch
+    seen = []
+
+    def spy(p, x):
+        seen.append(get())
+        return real(p, x)
+
+    def failing(p, x):
+        raise RuntimeError("expert failed")
+
+    previous = get()
+    put(2)
+    try:
+        outer = get()
+        monkeypatch.setattr(moe, "ffn_forward_batch", spy)
+        dispatch_batch(layer, tokens, threads=2)
+        assert seen and set(seen) == {1}
+        assert get() == outer
+        seen.clear()
+        dispatch_batch(layer, tokens, threads=1)
+        assert set(seen) == {outer}
+        monkeypatch.setattr(moe, "ffn_forward_batch", failing)
+        with pytest.raises(RuntimeError, match="expert failed"):
+            dispatch_batch(layer, tokens, threads=2)
+        assert get() == outer
+    finally:
+        put(previous)
 
 
 def test_rerun_reproducibility(rng):

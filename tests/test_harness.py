@@ -18,8 +18,11 @@ from moeforge.harness import (
     pretrain,
     run_gradcheck,
 )
-from moeforge.moe import MoeConfig
-from moeforge.numkernel import make_rng
+from moeforge.ffn import ffn_backward_batch
+from moeforge.moe import MoeConfig, dispatch_loop
+from moeforge.numkernel import make_rng, mm
+
+from conftest import random_layer
 
 import moeforge.moe
 
@@ -306,6 +309,52 @@ class TestTrainConfig:
             TrainConfig(stage="warmup")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
+
+
+def _collect_grads_reference(model, tokens, targets, alpha):
+    """Expert and map gradients with one nonzero scan and one scatter per expert."""
+    layer = model.block
+    u = mm(tokens, model.input_w.T) + model.input_b
+    v, trace = dispatch_loop(layer, u)
+    y = mm(v, model.head_w.T) + model.head_b
+    dv = mm((2.0 / y.size) * (y - targets), model.head_w)
+    experts = []
+    du = np.zeros_like(u)
+    for e, p in enumerate(layer.experts):
+        idx = np.nonzero((trace.selected == e).any(axis=1))[0]
+        g = None
+        if idx.size:
+            g, du_e = ffn_backward_batch(p, u[idx], dv[idx])
+            du[idx] += du_e
+        experts.append(g)
+    return experts, mm(du.T, tokens), du.sum(axis=0)
+
+
+# (token_dim, hidden_dim, n_replicas, granularity), top_k, tokens: the default
+# shape; 3 tokens on 16 experts, which leaves experts empty; top_k = n_experts.
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("dims,top_k,n_tokens", [((6, 12, 2, 2), 0, 45), ((8, 16, 4, 4), 2, 3),
+                                                 ((5, 8, 3, 2), 6, 45)])
+def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, threads):
+    from moeforge.harness import ToyModel, _collect_grads
+
+    token_dim, hidden_dim, n_replicas, granularity = dims
+    rng = make_rng(31)
+    base = init_toy_model(token_dim, hidden_dim, seed=31)
+    layer, _, cfg = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k)
+    model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
+    tokens = rng.normal(size=(n_tokens, token_dim))
+    targets = rng.normal(size=(n_tokens, token_dim))
+    grads, _, _, _ = _collect_grads(model, tokens, targets, 0.01, threads)
+    experts, map_w, map_b = _collect_grads_reference(model, tokens, targets, 0.01)
+    assert (None in experts) == (n_tokens * cfg.top_k < cfg.n_experts)
+    for got, want in zip(grads.experts, experts):
+        assert (got is None) == (want is None)
+        if want is not None:
+            for a, b in zip((got.w1, got.b1, got.w2, got.b2), (want.w1, want.b1, want.w2, want.b2)):
+                assert np.array_equal(a, b)
+    assert np.array_equal(grads.map_w, map_w)
+    assert np.array_equal(grads.map_b, map_b)
 
 
 class TestGradcheck:

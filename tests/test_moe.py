@@ -3,6 +3,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeforge.ffn import FfnParams, ffn_forward, ffn_forward_batch
 from moeforge.moe import (
@@ -13,6 +15,7 @@ from moeforge.moe import (
     assignment_fractions,
     balance_loss_backward,
     expand_supernet,
+    group_by_expert,
     init_router,
     load_balance_loss,
     moe_backward,
@@ -228,6 +231,104 @@ class TestTopKGate:
     def test_deterministic_across_runs(self, rng):
         s = rng.random(9)
         assert top_k_gate(s, 3).selected == top_k_gate(s.copy(), 3).selected
+
+
+def _top_k_reference(scores, k):
+    """The definition: the first k of a stable argsort on negated scores, ascending."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1)
+
+
+# Tenths make ties common; the specials are where plain argmax goes wrong.
+_scores = st.one_of(
+    st.integers(-20, 20).map(lambda i: i / 10),
+    st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestTopKSelectRowsProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_equals_stable_argsort_definition(self, data):
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        n = data.draw(st.integers(1, 9))
+        t = data.draw(st.integers(0, 6))
+        rows = data.draw(st.lists(st.lists(_scores, min_size=n, max_size=n), min_size=t, max_size=t))
+        with np.errstate(over="ignore"):
+            scores = np.array(rows, dtype=dtype).reshape(t, n)
+        before = scores.copy()
+        for k in range(1, n + 1):
+            got = top_k_select_rows(scores, k)
+            assert got.shape == (t, k)
+            assert np.array_equal(got, _top_k_reference(scores, k))
+            for row in scores:
+                assert top_k_gate(row, k).selected == tuple(int(i) for i in _top_k_reference(row, k))
+        assert np.array_equal(scores, before, equal_nan=True)
+
+    def test_router_scale_rows(self, rng):
+        scores = np.round(rng.random((500, 32)), 2)
+        for k in (1, 2, 8, 31, 32):
+            assert np.array_equal(top_k_select_rows(scores, k), _top_k_reference(scores, k))
+
+    def test_all_minus_inf_and_all_nan_rows(self):
+        scores = np.array([[-np.inf] * 4, [np.nan] * 4, [np.nan, -np.inf, 1.0, np.nan]])
+        for k in range(1, 5):
+            assert np.array_equal(top_k_select_rows(scores, k), _top_k_reference(scores, k))
+        assert top_k_select_rows(scores, 2).tolist() == [[0, 1], [0, 1], [1, 2]]
+
+
+def _tokens_by_nonzero(selected, n_experts):
+    return [np.nonzero((selected == e).any(axis=1))[0] for e in range(n_experts)]
+
+
+class TestGroupByExpert:
+    def _check(self, selected, n_experts):
+        groups = group_by_expert(selected, n_experts)
+        t, k = selected.shape
+        for e, expected in enumerate(_tokens_by_nonzero(selected, n_experts)):
+            assert np.array_equal(groups.tokens_of(e), expected)
+        assert groups.offsets[0] == 0 and groups.offsets[-1] == t * k
+        assert groups.pos.shape == (t, k)
+        assert sorted(groups.pos.ravel().tolist()) == list(range(t * k))
+        for j in range(k):
+            pos = groups.pos[:, j]
+            assert np.array_equal(groups.token_ids[pos], np.arange(t))
+            owner = np.searchsorted(groups.offsets, pos, side="right") - 1
+            assert np.array_equal(owner, selected[:, j])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_nonzero_definition(self, data):
+        n_experts = data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(1, n_experts))
+        t = data.draw(st.integers(0, 12))
+        # Drawing from a prefix of the experts leaves the rest empty.
+        used = data.draw(st.integers(k, n_experts))
+        rows = [sorted(data.draw(st.sets(st.integers(0, used - 1), min_size=k, max_size=k)))
+                for _ in range(t)]
+        self._check(np.array(rows, dtype=np.int64).reshape(t, k), n_experts)
+
+    def test_empty_batch(self):
+        groups = group_by_expert(np.zeros((0, 3), dtype=np.int64), 5)
+        assert groups.offsets.tolist() == [0] * 6
+        assert groups.pos.shape == (0, 3)
+        assert all(groups.tokens_of(e).size == 0 for e in range(5))
+
+    def test_every_expert_selected(self):
+        self._check(np.tile(np.arange(6), (9, 1)), 6)
+
+    def test_empty_experts(self):
+        selected = np.array([[1, 4], [1, 2], [2, 4], [1, 4]])
+        self._check(selected, 7)
+        groups = group_by_expert(selected, 7)
+        assert [groups.tokens_of(e).tolist() for e in range(7)] == [[], [0, 1, 3], [1, 2], [], [0, 2, 3], [], []]
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            group_by_expert(np.array([[0, 3]]), 3)
+        with pytest.raises(ShapeError):
+            group_by_expert(np.array([0, 1]), 3)
 
 
 class TestMoeForward:
