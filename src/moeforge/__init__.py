@@ -20,7 +20,6 @@ from .analytics import (
 from .ffn import (
     FfnGrads,
     FfnParams,
-    ffn_backward,
     ffn_backward_batch,
     ffn_forward,
     ffn_forward_batch,
@@ -44,10 +43,8 @@ from .harness import (
 )
 from .moe import (
     ExpertGroups,
-    ExpertParams,
     Gate,
     MoeConfig,
-    MoeGrads,
     MoeLayer,
     RouterParams,
     RoutingTrace,
@@ -58,7 +55,6 @@ from .moe import (
     group_by_expert,
     init_router,
     load_balance_loss,
-    moe_backward,
     moe_forward,
     route,
     route_batch,
@@ -74,23 +70,17 @@ from .numkernel import (
     gelu,
     gelu_grad,
     make_rng,
-    matvec,
     mm,
     relu,
     relu_grad,
-    softmax,
     softmax_rows,
 )
 from .serialize import (
     FormatError,
     load_ffn,
-    load_ffn_json,
-    load_moe_layer,
     load_toy_model,
     read_trace_jsonl,
     save_ffn,
-    save_ffn_json,
-    save_moe_layer,
     save_toy_model,
     write_trace_jsonl,
 )

@@ -65,6 +65,8 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration; message names the offending path."""
 
 
+# The moe and train defaults are the dataclasses' own. The section seeds are
+# the CLI's, so that each random stream gets a seed of its own.
 _NUMBER = (int, float)
 _SCHEMA = {
     "task": {
@@ -80,25 +82,26 @@ _SCHEMA = {
         "seed": (int, 5),
     },
     "moe": {
-        "n_replicas": (int, 8),
-        "granularity": (int, 2),
-        "top_k": (int, 0),
+        "n_replicas": (int, MoeConfig.n_replicas),
+        "granularity": (int, MoeConfig.granularity),
+        "top_k": (int, MoeConfig.top_k),
         "seed": (int, 2),
     },
     "train": {
-        "lr": (_NUMBER, 0.05),
-        "lr_head": (_NUMBER + (type(None),), None),
-        "lr_router": (_NUMBER + (type(None),), None),
-        "steps": (int, 1500),
-        "batch": (int, 64),
-        "alpha": (_NUMBER, 0.01),
-        "optimizer": (str, "sgd"),
-        "eval_tokens": (int, 10000),
-        "probe_tokens": (int, 512),
+        "lr": (_NUMBER, TrainConfig.lr),
+        "lr_head": (_NUMBER + (type(None),), TrainConfig.lr_head),
+        "lr_router": (_NUMBER + (type(None),), TrainConfig.lr_router),
+        "steps": (int, TrainConfig.steps),
+        "batch": (int, TrainConfig.batch),
+        "alpha": (_NUMBER, TrainConfig.alpha),
+        "optimizer": (str, TrainConfig.optimizer),
+        "eval_tokens": (int, TrainConfig.eval_tokens),
+        "probe_tokens": (int, TrainConfig.probe_tokens),
         "seed": (int, 3),
     },
 }
-_TRAINABLE_DEFAULTS = {"moe": True, "head": True, "map": False}
+_TRAINABLE_DEFAULTS = {"moe": TrainConfig.trainable_moe, "head": TrainConfig.trainable_head,
+                       "map": TrainConfig.trainable_map}
 
 
 def default_config() -> dict:
@@ -273,23 +276,21 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _load_base(path) -> ToyModel:
+def _load_base(path, cfg: dict) -> ToyModel:
+    """The dense base checkpoint at path, checked against the config's dims."""
     base = load_toy_model(path)
     if base.kind != "dense":
         raise ConfigError(f"{path}: base checkpoint must hold a dense model")
+    if base.token_dim != cfg["task"]["token_dim"] or base.block.hidden_dim != cfg["model"]["hidden_dim"]:
+        raise ConfigError(
+            f"{path}: checkpoint dims ({base.token_dim}, {base.block.hidden_dim}) "
+            f"do not match config ({cfg['task']['token_dim']}, {cfg['model']['hidden_dim']})"
+        )
     return base
 
 
-def cmd_tune(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), args.seed)
-    task, train_cfg = _build_task_and_train(cfg, args, STAGE_MOE_TUNE)
-    base = _load_base(args.base)
-    if base.token_dim != cfg["task"]["token_dim"] or base.block.hidden_dim != cfg["model"]["hidden_dim"]:
-        raise ConfigError(
-            f"{args.base}: checkpoint dims ({base.token_dim}, {base.block.hidden_dim}) "
-            f"do not match config ({cfg['task']['token_dim']}, {cfg['model']['hidden_dim']})"
-        )
-    moe_cfg = MoeConfig(
+def _moe_config(cfg: dict) -> MoeConfig:
+    return MoeConfig(
         token_dim=cfg["task"]["token_dim"],
         hidden_dim=cfg["model"]["hidden_dim"],
         n_replicas=cfg["moe"]["n_replicas"],
@@ -297,6 +298,13 @@ def cmd_tune(args) -> int:
         top_k=cfg["moe"]["top_k"],
         seed=cfg["moe"]["seed"],
     )
+
+
+def cmd_tune(args) -> int:
+    cfg = _apply_seed_override(load_config(args.config), args.seed)
+    task, train_cfg = _build_task_and_train(cfg, args, STAGE_MOE_TUNE)
+    base = _load_base(args.base, cfg)
+    moe_cfg = _moe_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = moe_tune(task, base, moe_cfg, train_cfg)
@@ -316,15 +324,8 @@ def cmd_tune(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
     task, train_cfg = _build_task_and_train(cfg, args, STAGE_MOE_TUNE)
-    base = _load_base(args.base)
-    moe_cfg = MoeConfig(
-        token_dim=cfg["task"]["token_dim"],
-        hidden_dim=cfg["model"]["hidden_dim"],
-        n_replicas=cfg["moe"]["n_replicas"],
-        granularity=cfg["moe"]["granularity"],
-        top_k=cfg["moe"]["top_k"],
-        seed=cfg["moe"]["seed"],
-    )
+    base = _load_base(args.base, cfg)
+    moe_cfg = _moe_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)

@@ -1,8 +1,9 @@
 """Two-layer feed-forward network: parameters, forward pass, manual backward.
 
-The network computes ``w2 @ act(w1 @ x + b1) + b2``. A single-token call is
-defined as the one-row case of the batched call, so looping tokens one at a
-time and pushing them through in a batch give bitwise identical rows.
+The network computes ``w2 @ act(w1 @ x + b1) + b2``. A single-token forward
+is defined as the one-row case of the batched call, so looping tokens one at
+a time and pushing them through in a batch give bitwise identical rows. The
+backward works on batches only.
 """
 
 from __future__ import annotations
@@ -67,13 +68,6 @@ class FfnGrads:
     b2: np.ndarray
 
 
-def zero_grads(p: FfnParams) -> FfnGrads:
-    return FfnGrads(
-        np.zeros_like(p.w1), np.zeros_like(p.b1),
-        np.zeros_like(p.w2), np.zeros_like(p.b2),
-    )
-
-
 def init_ffn(token_dim: int, hidden_dim: int, rng: np.random.Generator,
              activation: str = "relu", dtype=np.float64) -> FfnParams:
     """Fan-in scaled normal weights, zero biases."""
@@ -124,14 +118,3 @@ def ffn_backward_batch(p: FfnParams, x: np.ndarray, upstream: np.ndarray):
     dx = mm(dz1, p.w1)
     return FfnGrads(g_w1, g_b1, g_w2, g_b2), dx
 
-
-def ffn_backward(p: FfnParams, x: np.ndarray, upstream: np.ndarray):
-    """Single-token gradients; returns (FfnGrads, input gradient vector)."""
-    x = np.asarray(x)
-    upstream = np.asarray(upstream)
-    if x.ndim != 1 or x.shape[0] != p.token_dim:
-        raise ShapeError("ffn_backward", x.shape, p.w1.shape)
-    if upstream.shape != (p.token_dim,):
-        raise ShapeError("ffn_backward", upstream.shape, (p.token_dim,))
-    grads, dx = ffn_backward_batch(p, x[None, :], upstream[None, :])
-    return grads, dx[0]

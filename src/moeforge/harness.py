@@ -188,7 +188,7 @@ def init_toy_model(token_dim: int, hidden_dim: int, seed: int,
 @dataclass
 class TrainConfig:
     lr: float = 0.05
-    steps: int = 1000
+    steps: int = 1500
     batch: int = 64
     alpha: float = 0.01
     stage: str = STAGE_PRETRAIN

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .ffn import FfnGrads, FfnParams, ffn_backward, ffn_forward, ffn_forward_batch
+from .ffn import FfnParams, ffn_forward, ffn_forward_batch
 from .numkernel import (
     STREAM_ROUTER,
     ShapeError,
@@ -49,9 +49,6 @@ from .numkernel import (
     single_blas_thread,
     softmax_rows,
 )
-
-# A fine-grained expert is structurally an FFN with hidden width H/k.
-ExpertParams = FfnParams
 
 
 @dataclass
@@ -146,29 +143,17 @@ class RoutingTrace:
     def __len__(self) -> int:
         return self.n_tokens
 
-    def gate(self, t: int) -> Gate:
-        return Gate(tuple(int(i) for i in self.selected[t]), self.scores[t])
-
-    def gates(self) -> Iterator[Gate]:
-        return (self.gate(t) for t in range(self.n_tokens))
-
-    @classmethod
-    def from_gates(cls, gates: list[Gate], n_experts: int, top_k: int) -> "RoutingTrace":
-        if gates:
-            scores = np.stack([g.scores for g in gates])
-            selected = np.array([g.selected for g in gates], dtype=np.int64)
-        else:
-            scores = np.zeros((0, n_experts))
-            selected = np.zeros((0, top_k), dtype=np.int64)
-        return cls(top_k, scores, selected)
 
 
 @dataclass
 class MoeLayer:
-    """The supernet: config, replica-major expert list, router."""
+    """The supernet: config, replica-major expert list, router.
+
+    A fine-grained expert is structurally an FFN with hidden width H/k.
+    """
 
     config: MoeConfig
-    experts: list[ExpertParams]
+    experts: list[FfnParams]
     router: RouterParams
 
     def __post_init__(self):
@@ -187,7 +172,7 @@ class MoeLayer:
         return MoeLayer(self.config, [e.copy() for e in self.experts], self.router.copy())
 
 
-def split_ffn(p: FfnParams, granularity: int) -> list[ExpertParams]:
+def split_ffn(p: FfnParams, granularity: int) -> list[FfnParams]:
     """Slice one FFN into `granularity` experts whose outputs sum to p's output.
 
     Expert j takes rows [j*H/k, (j+1)*H/k) of w1/b1, the matching columns of
@@ -203,7 +188,7 @@ def split_ffn(p: FfnParams, granularity: int) -> list[ExpertParams]:
     experts = []
     for j in range(granularity):
         rows = slice(j * width, (j + 1) * width)
-        experts.append(ExpertParams(
+        experts.append(FfnParams(
             p.w1[rows].copy(),
             p.b1[rows].copy(),
             p.w2[:, rows].copy(),
@@ -230,7 +215,7 @@ def expand_supernet(base: FfnParams, cfg: MoeConfig) -> MoeLayer:
     """Replicate the base FFN n_replicas times, split each copy, attach a grouped router."""
     if base.token_dim != cfg.token_dim or base.hidden_dim != cfg.hidden_dim:
         raise ShapeError("expand_supernet", base.w1.shape, (cfg.hidden_dim, cfg.token_dim))
-    experts: list[ExpertParams] = []
+    experts: list[FfnParams] = []
     for _ in range(cfg.n_replicas):
         experts.extend(split_ffn(base, cfg.granularity))
     router = init_router(cfg, make_rng(cfg.seed, STREAM_ROUTER), dtype=base.w1.dtype)
@@ -319,23 +304,23 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     """Sequential reference path: one moe_forward call per token.
 
     This is the plain loop the batched engine is checked against (and the
-    baseline the bench command times).
+    baseline the bench command times). Each token's output, scores and
+    selection fill one row of arrays shaped and typed as dispatch_batch's,
+    an empty batch included.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
     if tokens.ndim != 2 or tokens.shape[1] != cfg.token_dim:
         raise ShapeError("dispatch_loop", tokens.shape, (cfg.token_dim,))
-    gates: list[Gate] = []
-    rows = []
-    for t in range(tokens.shape[0]):
-        y, gate = moe_forward(layer, tokens[t])
-        rows.append(y)
-        gates.append(gate)
-    if rows:
-        out = np.stack(rows)
-    else:
-        out = np.zeros((0, cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
-    return out, RoutingTrace.from_gates(gates, cfg.n_experts, cfg.top_k)
+    n = tokens.shape[0]
+    out = np.empty((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
+    scores = np.empty((n, cfg.n_experts), dtype=np.result_type(tokens, layer.router.w_r, layer.router.b_r))
+    selected = np.empty((n, cfg.top_k), dtype=np.int64)
+    for t in range(n):
+        out[t], gate = moe_forward(layer, tokens[t])
+        scores[t] = gate.scores
+        selected[t] = gate.selected
+    return out, RoutingTrace(cfg.top_k, scores, selected)
 
 
 class ExpertGroups(NamedTuple):
@@ -467,62 +452,6 @@ def total_loss(task: float, aux: float, alpha: float = 0.01) -> float:
     if not np.isfinite(total):
         raise ValueError(f"total_loss: non-finite result from ({task}, {aux}, {alpha})")
     return total
-
-
-@dataclass
-class MoeGrads:
-    """Gradients from one moe_backward call.
-
-    expert_grads holds entries for selected experts only; an absent index
-    means that expert's gradient is identically zero.
-    """
-
-    expert_grads: dict[int, FfnGrads]
-    router_w: np.ndarray
-    router_b: np.ndarray
-    dx: np.ndarray
-
-
-def moe_backward(layer: MoeLayer, x: np.ndarray, gate: Gate, upstream: np.ndarray,
-                 aux_weight: float = 0.0) -> MoeGrads:
-    """Gradients of upstream . h(x) plus the token's balance-loss share.
-
-    Gate values are constants: selected experts get chain-rule gradients,
-    unselected experts get zero, and no task gradient reaches the router.
-    The router term differentiates aux_weight * n_experts * sum_i F_i s_i
-    with F_i frozen at this token's own assignment fractions (g_i / top_k).
-    """
-    cfg = layer.config
-    x = np.asarray(x)
-    upstream = np.asarray(upstream)
-    if x.shape != (cfg.token_dim,) or upstream.shape != (cfg.token_dim,):
-        raise ShapeError("moe_backward", x.shape, upstream.shape, (cfg.token_dim,))
-    if gate.scores.shape != (cfg.n_experts,) or len(gate.selected) != cfg.top_k:
-        raise ValueError(
-            f"moe_backward: gate with {len(gate.selected)} selections over {gate.scores.shape} scores "
-            f"does not match layer ({cfg.top_k} of {cfg.n_experts})"
-        )
-    if any(not 0 <= i < cfg.n_experts for i in gate.selected):
-        raise ValueError(f"moe_backward: gate indices {gate.selected} out of range")
-
-    expert_grads: dict[int, FfnGrads] = {}
-    dx = np.zeros_like(x)
-    for i in gate.selected:
-        g, dxi = ffn_backward(layer.experts[i], x, upstream)
-        expert_grads[i] = g
-        dx += dxi
-
-    if aux_weight == 0.0:
-        router_w = np.zeros_like(layer.router.w_r)
-        router_b = np.zeros_like(layer.router.b_r)
-    else:
-        w = np.zeros(cfg.n_experts, dtype=gate.scores.dtype)
-        w[list(gate.selected)] = aux_weight * cfg.n_experts / cfg.top_k
-        s = gate.scores
-        c = s * (w - np.sum(w * s))  # softmax jacobian applied to the weighted score sum
-        router_w = c[:, None] * x[None, :]
-        router_b = c
-    return MoeGrads(expert_grads, router_w, router_b, dx)
 
 
 def balance_loss_backward(trace: RoutingTrace, tokens: np.ndarray, aux_weight: float):

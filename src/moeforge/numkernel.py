@@ -1,4 +1,4 @@
-"""Dense numeric kernel: matrix/vector products, softmax, activations, RNG.
+"""Dense numeric kernel: matrix products, row softmax, activations, RNG.
 
 Values are plain numpy arrays: a ``Matrix`` is a 2-D float array with
 row-major semantics, a ``Vector`` is 1-D. float64 is the default precision;
@@ -54,8 +54,6 @@ import numpy as np
 
 Matrix = np.ndarray  # 2-D, row-major
 Vector = np.ndarray  # 1-D
-
-DEFAULT_DTYPE = np.float64
 
 # Stream ids for make_rng; unique across the package so one user seed never
 # feeds the same underlying sequence to two consumers.
@@ -194,19 +192,6 @@ def single_blas_thread():
         put(previous)
 
 
-def matvec(m: Matrix, v: Vector) -> Vector:
-    """``m @ v``, evaluated as the one-row case of :func:`mm`.
-
-    Routing through mm keeps a lone token's product bitwise identical to the
-    matching row of a batched product.
-    """
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeError("matvec", m.shape, v.shape)
-    return mm(v[None, :], m.T)[0]
-
-
 def softmax_rows(z: Matrix) -> Matrix:
     """Row-wise softmax, max-stabilized; bitwise row-stable."""
     z = np.asarray(z)
@@ -215,14 +200,6 @@ def softmax_rows(z: Matrix) -> Matrix:
     m = np.max(z, axis=-1, keepdims=True)
     e = np.exp(z - m)
     return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax(v: Vector) -> Vector:
-    """Numerically stabilized softmax of a non-empty vector."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError("softmax", v.shape)
-    return softmax_rows(v[None, :])[0]
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -23,7 +23,9 @@ Toy model container, magic ``MTOY`` version 1::
     | input_w (dim*dim) | input_b (dim) | head_w (dim*dim) | head_b (dim)
     | u64 blob length | nested FFN or MoE container bytes
 
-The JSON debug format mirrors the same fields with arrays as nested lists.
+The nested container fills its blob exactly, shares the outer token_dim,
+and ends the file.
+
 Routing traces export as JSON lines, one record per token:
 ``{"token_id": t, "selected": [...], "scores": [...]}``.
 """
@@ -171,16 +173,6 @@ def _parse_moe(f) -> MoeLayer:
     return MoeLayer(cfg, experts, RouterParams(w_r, b_r))
 
 
-def save_moe_layer(path, layer: MoeLayer) -> None:
-    with open(path, "wb") as f:
-        _dump_moe(f, layer)
-
-
-def load_moe_layer(path) -> MoeLayer:
-    with open(path, "rb") as f:
-        return _parse_moe(f)
-
-
 def save_toy_model(path, model) -> None:
     """Write a harness ToyModel; the block nests as its own container."""
     dtype = np.dtype(model.input_w.dtype).newbyteorder("<")
@@ -221,46 +213,22 @@ def load_toy_model(path):
         blob = f.read(blob_len)
         if len(blob) != blob_len:
             raise FormatError("truncated nested block")
-        inner = io.BytesIO(blob)
-        if kind == 0:
-            block = _parse_ffn(inner)
-        elif kind == 1:
-            block = _parse_moe(inner)
-        else:
-            raise FormatError(f"unknown block kind {kind}")
+        if f.read(1):
+            raise FormatError("trailing bytes after the nested block")
+    inner = io.BytesIO(blob)
+    if kind == 0:
+        block = _parse_ffn(inner)
+        block_dim = block.token_dim
+    elif kind == 1:
+        block = _parse_moe(inner)
+        block_dim = block.config.token_dim
+    else:
+        raise FormatError(f"unknown block kind {kind}")
+    if inner.tell() != blob_len:
+        raise FormatError(f"{blob_len - inner.tell()} unread bytes inside the nested block")
+    if block_dim != dim:
+        raise FormatError(f"nested block token_dim {block_dim} differs from the model's {dim}")
     return ToyModel(input_w, input_b, block, head_w, head_b)
-
-
-def ffn_to_json_dict(p: FfnParams) -> dict:
-    return {
-        "format": "ffn-weights",
-        "version": FORMAT_VERSION,
-        "activation": p.activation,
-        "token_dim": p.token_dim,
-        "hidden_dim": p.hidden_dim,
-        "w1": p.w1.tolist(),
-        "b1": p.b1.tolist(),
-        "w2": p.w2.tolist(),
-        "b2": p.b2.tolist(),
-    }
-
-
-def ffn_from_json_dict(d: dict) -> FfnParams:
-    if d.get("format") != "ffn-weights" or d.get("version") != FORMAT_VERSION:
-        raise FormatError(f"not a version-{FORMAT_VERSION} ffn-weights document")
-    return FfnParams(np.array(d["w1"]), np.array(d["b1"]),
-                     np.array(d["w2"]), np.array(d["b2"]), d["activation"])
-
-
-def save_ffn_json(path, p: FfnParams) -> None:
-    with open(path, "w") as f:
-        json.dump(ffn_to_json_dict(p), f)
-        f.write("\n")
-
-
-def load_ffn_json(path) -> FfnParams:
-    with open(path) as f:
-        return ffn_from_json_dict(json.load(f))
 
 
 def write_trace_jsonl(path, trace: RoutingTrace) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import moeforge.harness
 import moeforge.moe
 from moeforge import numkernel
 from moeforge.cli import default_config, load_config, main, ConfigError
+from moeforge.harness import TrainConfig
+from moeforge.moe import MoeConfig
 
 SMALL_CONFIG = {
     "task": {"n_patterns": 3, "token_dim": 6, "noise_std": 0.1, "seed": 21},
@@ -200,6 +203,15 @@ class TestAblateCommand:
         assert [l.split(",")[0] for l in lines[1:]] == ["moe", "moe+head", "moe+map",
                                                         "moe+head+map"]
 
+    def test_mismatched_base_exits_2_naming_it(self, tmp_path, capsys):
+        _, out_dir, _ = run_pretrain(tmp_path, config=write_config(tmp_path, {"train": {"steps": 10}}))
+        ckpt = out_dir / "base.ckpt"
+        config = write_config(tmp_path, {"model": {"hidden_dim": 16}}, name="mismatch.json")
+        capsys.readouterr()
+        code = main(["ablate", "--config", str(config), "--base", str(ckpt), "--out", str(tmp_path / "abl")])
+        assert code == 2
+        assert str(ckpt) in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_summary_from_trace(self, tmp_path):
@@ -266,6 +278,20 @@ class TestGradcheckCommand:
 
 
 class TestDefaultConfig:
+    def test_defaults_match_the_dataclasses(self):
+        # section seeds differ on purpose: each stream gets its own
+        cfg = default_config()
+        moe = {f.name: f.default for f in dataclasses.fields(MoeConfig)}
+        train = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        for key, value in cfg["moe"].items():
+            if key != "seed":
+                assert value == moe[key], key
+        for key, value in cfg["train"].items():
+            if key == "trainable":
+                assert value == {part: train[f"trainable_{part}"] for part in value}
+            elif key != "seed":
+                assert value == train[key], key
+
     def test_default_tune_runs_end_to_end_quickly(self, tmp_path):
         # the shipped defaults (8 replicas split 2 ways, alpha 0.01) must
         # finish a pretrain + tune round trip well inside five minutes

@@ -108,10 +108,10 @@ def test_rerun_reproducibility(rng):
 def test_trace_gate_invariants(rng):
     layer, _, cfg = random_layer(rng)
     _, trace = dispatch_batch(layer, rng.normal(size=(64, cfg.token_dim)))
-    for gate in trace.gates():
-        assert len(gate.selected) == cfg.top_k
-        assert len(set(gate.selected)) == cfg.top_k
-        assert abs(float(gate.scores.sum()) - 1.0) <= 1e-12
+    for selected, scores in zip(trace.selected, trace.scores):
+        assert len(selected) == cfg.top_k
+        assert len(set(selected.tolist())) == cfg.top_k
+        assert abs(float(scores.sum()) - 1.0) <= 1e-12
 
 
 def test_every_selected_expert_contributes(rng):
@@ -141,6 +141,20 @@ def test_bitwise_equivalence_holds_in_f32(rng):
     out_l, _ = dispatch_loop(layer, tokens)
     assert out_b.dtype == np.float32
     assert np.array_equal(out_b, out_l)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_tokens", [0, 5])
+def test_loop_and_batch_agree_on_dtype_and_shape(rng, dtype, n_tokens):
+    base = random_ffn(rng, 8, 16).astype(dtype)
+    layer = expand_supernet(base, MoeConfig(token_dim=8, hidden_dim=16, n_replicas=3, granularity=2, seed=6))
+    tokens = rng.normal(size=(n_tokens, 8)).astype(dtype)
+    batched, looped = dispatch_batch(layer, tokens), dispatch_loop(layer, tokens)
+    for a, b in ((batched[0], looped[0]), (batched[1].scores, looped[1].scores),
+                 (batched[1].selected, looped[1].selected)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+    assert batched[0].dtype == dtype and batched[1].scores.shape == (n_tokens, layer.config.n_experts)
+    _assert_identical(batched, looped)
 
 
 def test_dimension_mismatch(rng):

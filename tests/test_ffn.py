@@ -3,7 +3,6 @@ import pytest
 
 from moeforge.ffn import (
     FfnParams,
-    ffn_backward,
     ffn_backward_batch,
     ffn_forward,
     ffn_forward_batch,
@@ -53,9 +52,15 @@ def test_positive_homogeneity_in_w2(rng):
         assert np.array_equal(ffn_forward(doubled, x), 2.0 * ffn_forward(p, x))
 
 
+def _backward_row(p, x, upstream):
+    """Gradients for one token, as a one-row batch; returns (FfnGrads, dx vector)."""
+    grads, dx = ffn_backward_batch(p, x[None, :], upstream[None, :])
+    return grads, dx[0]
+
+
 def test_backward_zero_upstream(rng):
     p = random_ffn(rng, 3, 5)
-    grads, dx = ffn_backward(p, rng.normal(size=3), np.zeros(3))
+    grads, dx = _backward_row(p, rng.normal(size=3), np.zeros(3))
     for g in (grads.w1, grads.b1, grads.w2, grads.b2, dx):
         assert np.array_equal(g, np.zeros_like(g))
 
@@ -65,13 +70,13 @@ def test_backward_linear_regime_passthrough():
     p = FfnParams(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3), "relu")
     x = np.array([0.5, 1.0, 2.0])
     upstream = np.array([0.3, -0.7, 0.1])
-    _, dx = ffn_backward(p, x, upstream)
+    _, dx = _backward_row(p, x, upstream)
     assert np.array_equal(dx, upstream)
 
 
 def _fd_check(p, x, upstream, h=1e-6, rtol=1e-5):
     """Central finite differences of upstream . ffn(x) against analytic grads."""
-    grads, dx = ffn_backward(p, x, upstream)
+    grads, dx = _backward_row(p, x, upstream)
     arrays = [(p.w1, grads.w1), (p.b1, grads.b1), (p.w2, grads.w2), (p.b2, grads.b2)]
     for param, grad in arrays:
         for idx in np.ndindex(param.shape):
@@ -116,7 +121,7 @@ def test_backward_batch_accumulates(rng):
     batch_grads, batch_dx = ffn_backward_batch(p, x, upstream)
     acc = None
     for t in range(5):
-        g, dxt = ffn_backward(p, x[t], upstream[t])
+        g, dxt = _backward_row(p, x[t], upstream[t])
         assert np.allclose(batch_dx[t], dxt, atol=1e-14)
         if acc is None:
             acc = g
@@ -145,7 +150,7 @@ def test_forward_shape_errors(rng):
     with pytest.raises(ShapeError):
         ffn_forward_batch(p, np.zeros((3, 5)))
     with pytest.raises(ShapeError):
-        ffn_backward(p, np.zeros(4), np.zeros(3))
+        ffn_backward_batch(p, np.zeros((1, 4)), np.zeros((1, 3)))
 
 
 def test_init_ffn_shapes(rng):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from moeforge.ffn import FfnParams, ffn_forward, ffn_forward_batch
 from moeforge.moe import (
-    Gate,
     MoeConfig,
     RouterParams,
     RoutingTrace,
@@ -18,7 +17,6 @@ from moeforge.moe import (
     group_by_expert,
     init_router,
     load_balance_loss,
-    moe_backward,
     moe_forward,
     route,
     route_batch,
@@ -466,79 +464,6 @@ class TestTotalLoss:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             total_loss(float("inf"), 0.0, 0.0)
-
-
-class TestMoeBackward:
-    def test_router_grad_zero_without_aux(self, rng):
-        layer, _, cfg = random_layer(rng)
-        x = rng.normal(size=cfg.token_dim)
-        _, gate = moe_forward(layer, x)
-        grads = moe_backward(layer, x, gate, rng.normal(size=cfg.token_dim), aux_weight=0.0)
-        assert np.array_equal(grads.router_w, np.zeros_like(grads.router_w))
-        assert np.array_equal(grads.router_b, np.zeros_like(grads.router_b))
-
-    def test_unselected_experts_get_zero(self, rng):
-        layer, _, cfg = random_layer(rng)
-        x = rng.normal(size=cfg.token_dim)
-        _, gate = moe_forward(layer, x)
-        grads = moe_backward(layer, x, gate, rng.normal(size=cfg.token_dim), aux_weight=0.3)
-        assert set(grads.expert_grads) == set(gate.selected)
-
-    def test_selected_expert_grads_match_fd(self):
-        rng = make_rng(404)
-        layer, _, cfg = random_layer(rng, token_dim=4, hidden_dim=8,
-                                     n_replicas=2, granularity=2)
-        x = rng.normal(size=4)
-        upstream = rng.normal(size=4)
-        y, gate = moe_forward(layer, x)
-        grads = moe_backward(layer, x, gate, upstream)
-        h = 1e-6
-        for i in gate.selected:
-            p = layer.experts[i]
-            g = grads.expert_grads[i]
-            for param, grad in ((p.w1, g.w1), (p.w2, g.w2), (p.b1, g.b1), (p.b2, g.b2)):
-                for idx in np.ndindex(param.shape):
-                    orig = param[idx]
-                    param[idx] = orig + h
-                    up = float(upstream @ moe_forward(layer, x)[0])
-                    param[idx] = orig - h
-                    down = float(upstream @ moe_forward(layer, x)[0])
-                    param[idx] = orig
-                    fd = (up - down) / (2 * h)
-                    assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-3)
-
-    def test_router_grad_matches_fd_through_balance_term(self):
-        rng = make_rng(405)
-        layer, _, cfg = random_layer(rng, token_dim=4, hidden_dim=8,
-                                     n_replicas=2, granularity=2)
-        x = rng.normal(size=4)
-        aux_weight = 0.7
-        _, gate = moe_forward(layer, x)
-        grads = moe_backward(layer, x, gate, np.zeros(4), aux_weight=aux_weight)
-
-        def token_balance():
-            s = route(layer.router, x)
-            w = np.zeros(cfg.n_experts)
-            w[list(gate.selected)] = aux_weight * cfg.n_experts / cfg.top_k
-            return float(np.sum(w * s))
-
-        h = 1e-6
-        for param, grad in ((layer.router.w_r, grads.router_w), (layer.router.b_r, grads.router_b)):
-            for idx in np.ndindex(param.shape):
-                orig = param[idx]
-                param[idx] = orig + h
-                up = token_balance()
-                param[idx] = orig - h
-                down = token_balance()
-                param[idx] = orig
-                fd = (up - down) / (2 * h)
-                assert abs(grad[idx] - fd) <= 1e-5 * max(abs(grad[idx]), abs(fd), 1e-4)
-
-    def test_gate_layer_mismatch(self, rng):
-        layer, _, cfg = random_layer(rng)
-        bad_gate = Gate(tuple(range(cfg.top_k)), np.full(cfg.n_experts + 1, 0.1))
-        with pytest.raises(ValueError):
-            moe_backward(layer, np.zeros(cfg.token_dim), bad_gate, np.zeros(cfg.token_dim))
 
 
 class TestBalanceLossBackward:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -8,13 +9,9 @@ from moeforge.moe import MoeConfig, dispatch_batch, expand_supernet
 from moeforge.serialize import (
     FormatError,
     load_ffn,
-    load_ffn_json,
-    load_moe_layer,
     load_toy_model,
     read_trace_jsonl,
     save_ffn,
-    save_ffn_json,
-    save_moe_layer,
     save_toy_model,
     write_trace_jsonl,
 )
@@ -43,15 +40,6 @@ def test_ffn_binary_roundtrip_f32(tmp_path, rng):
     loaded = load_ffn(path)
     assert loaded.w1.dtype == np.float32
     _assert_ffn_equal(loaded, p)
-
-
-def test_ffn_json_roundtrip(tmp_path, rng):
-    p = random_ffn(rng, 4, 6)
-    path = tmp_path / "ffn.json"
-    save_ffn_json(path, p)
-    _assert_ffn_equal(load_ffn_json(path), p)
-    doc = json.loads(path.read_text())
-    assert doc["format"] == "ffn-weights" and doc["version"] == 1
 
 
 def test_bad_magic_rejected(tmp_path, rng):
@@ -84,9 +72,10 @@ def test_truncated_payload_rejected(tmp_path, rng):
 
 def test_moe_layer_roundtrip(tmp_path, rng):
     layer, _, cfg = random_layer(rng, n_replicas=3, granularity=2, perturb=0.4)
-    path = tmp_path / "layer.bin"
-    save_moe_layer(path, layer)
-    loaded = load_moe_layer(path)
+    dense = init_toy_model(cfg.token_dim, cfg.hidden_dim, seed=4)
+    path = tmp_path / "layer.ckpt"
+    save_toy_model(path, ToyModel(dense.input_w, dense.input_b, layer, dense.head_w, dense.head_b))
+    loaded = load_toy_model(path).block
     assert loaded.config == cfg
     for a, b in zip(loaded.experts, layer.experts):
         _assert_ffn_equal(a, b)
@@ -117,6 +106,44 @@ def test_toy_model_roundtrip_moe(tmp_path):
     assert loaded.block.config == layer.config
     for a, b in zip(loaded.block.experts, layer.experts):
         _assert_ffn_equal(a, b)
+
+
+def _toy_bytes(tmp_path, model) -> bytes:
+    path = tmp_path / "src.ckpt"
+    save_toy_model(path, model)
+    return path.read_bytes()
+
+
+def test_toy_model_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)) + b"junk")
+    with pytest.raises(FormatError, match="trailing"):
+        load_toy_model(path)
+
+
+def test_toy_model_unread_nested_bytes_rejected(tmp_path):
+    # the blob length claims four more bytes than the nested FFN container holds
+    raw = _toy_bytes(tmp_path, init_toy_model(6, 12, seed=4))
+    header = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)  # magic, four u32s, f64 input/head weights and biases
+    (blob_len,) = struct.unpack("<Q", raw[header:header + 8])
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(raw[:header] + struct.pack("<Q", blob_len + 4) + raw[header + 8:] + b"junk")
+    with pytest.raises(FormatError, match="unread"):
+        load_toy_model(path)
+
+
+@pytest.mark.parametrize("kind", ["dense", "moe"])
+def test_toy_model_nested_dim_mismatch_rejected(tmp_path, rng, kind):
+    # a 6-dim toy model holding a 4-dim block
+    outer = init_toy_model(6, 12, seed=4)
+    if kind == "dense":
+        block = random_ffn(rng, 4, 8)
+    else:
+        block = random_layer(rng, token_dim=4, hidden_dim=8, n_replicas=2, granularity=2)[0]
+    path = tmp_path / "toy.ckpt"
+    save_toy_model(path, ToyModel(outer.input_w, outer.input_b, block, outer.head_w, outer.head_b))
+    with pytest.raises(FormatError, match="token_dim"):
+        load_toy_model(path)
 
 
 def test_trace_jsonl_roundtrip(tmp_path, rng):
