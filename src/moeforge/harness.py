@@ -27,6 +27,7 @@ from .moe import (
     MoeConfig,
     MoeLayer,
     RoutingTrace,
+    add_rows,
     assignment_fractions,
     balance_loss_backward,
     dispatch_batch,
@@ -294,15 +295,11 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
         layer = model.block
         block_grads = None
         experts = [None] * layer.config.n_experts
-        # Same grouping and slot-ordered fold as dispatch_batch's forward.
-        groups = group_by_expert(trace.selected, layer.config.n_experts)
-        du_part = np.empty((trace.selected.size, u.shape[1]), dtype=u.dtype)
-        for e in range(layer.config.n_experts):
-            lo, hi = groups.offsets[e], groups.offsets[e + 1]
-            if hi > lo:
-                idx = groups.token_ids[lo:hi]
-                experts[e], du_part[lo:hi] = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
-        du = groups.fold(du_part, np.zeros_like(u))
+        # Same grouping and ascending-expert adds as dispatch_batch's forward.
+        du = np.zeros_like(u)
+        for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
+            experts[e], du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
+            add_rows(du, idx, du_e)
         aux = load_balance_loss(trace)
         router_w, router_b = balance_loss_backward(trace, u, alpha)
 
@@ -554,12 +551,9 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         if margin < 1e-4:
             continue
         kink = math.inf
-        groups = group_by_expert(trace.selected, moe_cfg.n_experts)
-        for e in range(moe_cfg.n_experts):
-            idx = groups.tokens_of(e)
-            if idx.size:
-                z1 = mm(u[idx], layer.experts[e].w1.T) + layer.experts[e].b1
-                kink = min(kink, float(np.min(np.abs(z1))))
+        for e, idx in group_by_expert(trace.selected, moe_cfg.n_experts).nonempty():
+            z1 = mm(u[idx], layer.experts[e].w1.T) + layer.experts[e].b1
+            kink = min(kink, float(np.min(np.abs(z1))))
         if kink < 1e-3:
             continue
         return model, tokens, targets

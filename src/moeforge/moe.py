@@ -13,13 +13,14 @@ The pieces, in the order a layer comes to life:
   slices of a single replica and the layer reproduces the base FFN.
 * :func:`moe_forward` / :func:`dispatch_batch` run tokens through the layer.
   ``dispatch_batch`` sorts the (token, slot) assignments by expert once
-  (:func:`group_by_expert`), evaluates one batch per expert into a shared
-  buffer, and folds the buffer back slot by slot. Its output is bitwise
-  identical to looping ``moe_forward`` over tokens (:func:`dispatch_loop`):
-  selections ascend along a row, so both add the selected experts' outputs
-  in ascending expert order on top of a zero buffer, and all matrix
-  products share the kernel's row-stable reduction order. The training
-  backward in :mod:`moeforge.harness` groups and folds the same way.
+  (:func:`group_by_expert`), evaluates one batch per expert, and adds each
+  expert's rows straight into a zeroed output, experts in ascending order.
+  Its output is bitwise identical to looping ``moe_forward`` over tokens
+  (:func:`dispatch_loop`): selections ascend strictly along a row, so both
+  add the selected experts' outputs in ascending expert order on top of a
+  zero buffer, and all matrix products share the kernel's row-stable
+  reduction order. The training backward in :mod:`moeforge.harness` groups
+  and adds the same way.
 * :func:`load_balance_loss` is the utilization penalty
   ``n_experts * sum_i F_i * P_i`` with F the per-expert share of
   assignments and P the mean routing score.
@@ -65,8 +66,9 @@ class MoeConfig:
     def __post_init__(self):
         if self.top_k == 0:
             self.top_k = self.granularity
-        if self.token_dim < 1 or self.hidden_dim < 1 or self.n_replicas < 1 or self.granularity < 1:
-            raise ValueError(f"MoeConfig: all dimensions must be >= 1, got {self}")
+        for name in ("token_dim", "hidden_dim", "n_replicas", "granularity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"MoeConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.hidden_dim % self.granularity != 0:
             raise ValueError(
                 f"MoeConfig: hidden_dim {self.hidden_dim} not divisible by granularity {self.granularity}"
@@ -227,7 +229,10 @@ def route_batch(r: RouterParams, tokens: np.ndarray) -> np.ndarray:
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] != r.w_r.shape[1]:
         raise ShapeError("route_batch", tokens.shape, r.w_r.shape)
-    return softmax_rows(mm(tokens, r.w_r.T) + r.b_r)
+    # The bias is added in place, at the dtype ``mm(...) + b_r`` would have.
+    z = mm(tokens, r.w_r.T).astype(np.result_type(tokens, r.w_r, r.b_r), copy=False)
+    z += r.b_r
+    return softmax_rows(z)
 
 
 def route(r: RouterParams, x: np.ndarray) -> np.ndarray:
@@ -328,34 +333,43 @@ class ExpertGroups(NamedTuple):
 
     token_ids lists the token of every (token, slot) assignment, grouped by
     expert and ascending within each group; expert e owns
-    ``token_ids[offsets[e]:offsets[e + 1]]``. pos[t, j] is where the
-    assignment (t, j) landed in that order, so ``part[pos[:, j]]`` gathers
-    every token's slot-j row back out of a buffer laid out like token_ids.
+    ``token_ids[offsets[e]:offsets[e + 1]]``. A token appears at most once
+    per group, because selections ascend strictly along a row.
     """
 
     token_ids: np.ndarray
     offsets: np.ndarray
-    pos: np.ndarray
 
     def tokens_of(self, e: int) -> np.ndarray:
         return self.token_ids[self.offsets[e]:self.offsets[e + 1]]
 
-    def fold(self, part: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add each token's rows of ``part`` into ``out`` slot by slot, in place.
+    def nonempty(self) -> list[tuple[int, np.ndarray]]:
+        """(expert, token ids) of every expert that received tokens, ascending by expert."""
+        bounds = self.offsets.tolist()
+        return [(e, self.token_ids[lo:hi]) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
 
-        Selected indices ascend along a row, so on a zero ``out`` this is
-        :func:`moe_forward`'s fold: zero plus the experts in ascending order.
-        """
-        for j in range(self.pos.shape[1]):
-            out += part[self.pos[:, j]]
-        return out
+
+def add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``out[idx] += rows`` in place, for unique ``idx``; ``rows`` is overwritten.
+
+    Taking the rows, adding in ``rows``' buffer and storing them back costs
+    less per call than a fancy-indexed ``+=``, which at toy shapes is paid
+    once per expert.
+    """
+    np.add(out.take(idx, axis=0), rows, out=rows)
+    out[idx] = rows
 
 
 def group_by_expert(selected: np.ndarray, n_experts: int) -> ExpertGroups:
     """Group a selection by expert with one stable sort of its T*k entries.
 
     The flattened selection is token-major, so a stable sort keeps tokens
-    in ascending order within each expert.
+    in ascending order within each expert. The sort key is the smallest
+    unsigned type that holds ``n_experts - 1``: for 8- and 16-bit keys
+    numpy's stable sort is a radix sort, and a stable order is unique, so
+    the key width does not change the result. Rows must ascend strictly
+    (each expert at most once per token), or :func:`add_rows` would drop an
+    add; any other row raises ``ValueError``.
     """
     selected = np.asarray(selected)
     if selected.ndim != 2:
@@ -363,26 +377,27 @@ def group_by_expert(selected: np.ndarray, n_experts: int) -> ExpertGroups:
     flat = selected.ravel()
     if flat.size and (flat.min() < 0 or flat.max() >= n_experts):
         raise ValueError(f"group_by_expert: expert index out of range [0, {n_experts})")
-    order = np.argsort(flat, kind="stable")
+    if not np.all(np.diff(selected, axis=1) > 0):
+        raise ValueError("group_by_expert: selected experts must ascend strictly along every row")
+    order = np.argsort(flat.astype(np.min_scalar_type(n_experts - 1)), kind="stable")
     offsets = np.zeros(n_experts + 1, dtype=np.intp)
     np.cumsum(np.bincount(flat, minlength=n_experts), out=offsets[1:])
-    pos = np.empty(flat.size, dtype=np.intp)
-    pos[order] = np.arange(flat.size)
-    return ExpertGroups(order // selected.shape[1], offsets, pos.reshape(selected.shape))
+    return ExpertGroups(order // selected.shape[1], offsets)
 
 
 def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     """Route a whole batch, then run one batched FFN evaluation per expert.
 
     :func:`group_by_expert` sorts the assignments by expert once. Each
-    expert evaluates its gathered tokens in one call (optionally across a
-    thread pool, with BLAS held at one thread meanwhile) and writes its rows
-    into one (tokens * top_k, dim) buffer. :meth:`ExpertGroups.fold` adds
-    the buffer back slot by slot, ``out += part[pos[:, j]]`` for ascending
-    j, on a zero buffer. Selected indices ascend along a row, so per token
-    this adds the experts in ascending order, the fold of
-    :func:`moe_forward`; with the kernel's row-stable products the result is
-    bitwise identical to :func:`dispatch_loop`.
+    expert that received tokens evaluates them in one call (optionally
+    across a thread pool, with BLAS held at one thread meanwhile), and its
+    rows are added straight into a zeroed (tokens, dim) output, experts in
+    ascending order; with a pool, the calling thread adds each expert's
+    result as the pool yields it, in that same order. Selected indices
+    ascend strictly along a row, so every token gets zero plus its experts
+    in ascending order, the fold of :func:`moe_forward`; with the kernel's
+    row-stable products the result is bitwise identical to
+    :func:`dispatch_loop`.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
@@ -393,22 +408,20 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     trace = RoutingTrace(cfg.top_k, scores, selected)
 
     groups = group_by_expert(selected, cfg.n_experts)
-    dtype = np.result_type(tokens, layer.experts[0].w1)
-    part = np.empty((selected.size, cfg.token_dim), dtype=dtype)
+    out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
 
-    def eval_expert(e: int) -> None:
-        lo, hi = groups.offsets[e], groups.offsets[e + 1]
-        if hi > lo:
-            part[lo:hi] = ffn_forward_batch(layer.experts[e], tokens[groups.token_ids[lo:hi]])
+    def eval_expert(item: tuple[int, np.ndarray]) -> np.ndarray:
+        e, idx = item
+        return ffn_forward_batch(layer.experts[e], tokens[idx])
 
+    work = groups.nonempty()
     if threads > 1:
         with single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_expert, range(cfg.n_experts)))
+            for (_, idx), rows in zip(work, pool.map(eval_expert, work)):
+                add_rows(out, idx, rows)
     else:
-        for e in range(cfg.n_experts):
-            eval_expert(e)
-
-    out = groups.fold(part, np.zeros((tokens.shape[0], cfg.token_dim), dtype=dtype))
+        for (_, idx), rows in zip(work, map(eval_expert, work)):
+            add_rows(out, idx, rows)
     return out, trace
 
 

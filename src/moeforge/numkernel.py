@@ -197,9 +197,13 @@ def softmax_rows(z: Matrix) -> Matrix:
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ShapeError("softmax_rows", z.shape)
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # One buffer for the shifted logits, their exponentials and the result;
+    # the same operations as exp(z - m) / sum, so the same bits. Integer
+    # logits shift in float64, the dtype np.exp would give them.
+    e = np.subtract(z, np.max(z, axis=-1, keepdims=True), dtype=np.result_type(z, 0.0))
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def relu(v: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ Toy model container, magic ``MTOY`` version 1::
     | input_w (dim*dim) | input_b (dim) | head_w (dim*dim) | head_b (dim)
     | u64 blob length | nested FFN or MoE container bytes
 
-The nested container fills its blob exactly, shares the outer token_dim,
-and ends the file.
+The nested container fills its blob exactly, shares the outer token_dim and
+dtype, and ends the file. No container may be followed by stray bytes.
 
 Routing traces export as JSON lines, one record per token:
 ``{"token_id": t, "selected": [...], "scores": [...]}``.
@@ -130,7 +130,10 @@ def save_ffn(path, p: FfnParams) -> None:
 
 def load_ffn(path) -> FfnParams:
     with open(path, "rb") as f:
-        return _parse_ffn(f)
+        p = _parse_ffn(f)
+        if f.read(1):
+            raise FormatError("trailing bytes after the FFN container")
+    return p
 
 
 def _dump_moe(f, layer: MoeLayer) -> None:
@@ -158,8 +161,11 @@ def _parse_moe(f) -> MoeLayer:
         raise FormatError(f"unknown dtype/activation codes ({dtype_code}, {act_code})")
     dtype = _DTYPE_CODES[dtype_code]
     activation = _ACTIVATION_CODES[act_code]
-    cfg = MoeConfig(token_dim=dim, hidden_dim=hidden, n_replicas=n_replicas,
-                    granularity=granularity, top_k=top_k, seed=seed)
+    try:
+        cfg = MoeConfig(token_dim=dim, hidden_dim=hidden, n_replicas=n_replicas,
+                        granularity=granularity, top_k=top_k, seed=seed)
+    except ValueError as e:
+        raise FormatError(f"invalid MMOE header: {e}") from None
     width = cfg.expert_hidden_dim
     experts = []
     for _ in range(cfg.n_experts):
@@ -218,16 +224,18 @@ def load_toy_model(path):
     inner = io.BytesIO(blob)
     if kind == 0:
         block = _parse_ffn(inner)
-        block_dim = block.token_dim
+        block_dim, block_dtype = block.token_dim, block.w1.dtype
     elif kind == 1:
         block = _parse_moe(inner)
-        block_dim = block.config.token_dim
+        block_dim, block_dtype = block.config.token_dim, block.experts[0].w1.dtype
     else:
         raise FormatError(f"unknown block kind {kind}")
     if inner.tell() != blob_len:
         raise FormatError(f"{blob_len - inner.tell()} unread bytes inside the nested block")
     if block_dim != dim:
         raise FormatError(f"nested block token_dim {block_dim} differs from the model's {dim}")
+    if block_dtype != dtype:
+        raise FormatError(f"nested block dtype {block_dtype} differs from the model's {dtype}")
     return ToyModel(input_w, input_b, block, head_w, head_b)
 
 

@@ -1,5 +1,8 @@
 """Batched expert dispatch vs the sequential per-token reference."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +102,46 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
         put(previous)
 
 
+def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
+    # low expert indices finish last; results must still be added in
+    # ascending expert order, so the bits match one thread and the loop
+    # (with two experts a token, any order gives the same bits; five do not)
+    layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=5, perturb=0.5)
+    tokens = rng.normal(size=(97, cfg.token_dim)) * 100.0
+    reference = dispatch_batch(layer, tokens, threads=1)
+    index = {id(p): e for e, p in enumerate(layer.experts)}
+    real = moe.ffn_forward_batch
+
+    def late_for_low_experts(p, x):
+        time.sleep(0.002 * (cfg.n_experts - index[id(p)]))
+        return real(p, x)
+
+    monkeypatch.setattr(moe, "ffn_forward_batch", late_for_low_experts)
+    out = dispatch_batch(layer, tokens, threads=4)
+    _assert_identical(out, reference)
+    _assert_identical(out, dispatch_loop(layer, tokens))
+
+
+def test_no_slot_sized_buffer():
+    # the output is built without a (tokens * top_k, dim) intermediate:
+    # numpy's buffers are visible to tracemalloc, and the traced peak of a
+    # call stays below that one buffer's size
+    t, d, k = 4096, 64, 8
+    rng = make_rng(3)
+    base = random_ffn(rng, d, 256)
+    layer = expand_supernet(base, MoeConfig(token_dim=d, hidden_dim=256, n_replicas=16,
+                                            granularity=8, top_k=k, seed=1))
+    layer.router.w_r = layer.router.w_r + 0.5 * rng.normal(size=layer.router.w_r.shape)
+    tokens = rng.normal(size=(t, d))
+    tracemalloc.start()
+    try:
+        dispatch_batch(layer, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < t * k * d * tokens.itemsize
+
+
 def test_rerun_reproducibility(rng):
     layer, _, cfg = random_layer(rng)
     tokens = rng.normal(size=(31, cfg.token_dim))
@@ -137,10 +180,11 @@ def test_bitwise_equivalence_holds_in_f32(rng):
     cfg = MoeConfig(token_dim=8, hidden_dim=16, n_replicas=3, granularity=2, seed=6)
     layer = expand_supernet(base, cfg)
     tokens = rng.normal(size=(57, 8)).astype(np.float32)
-    out_b, _ = dispatch_batch(layer, tokens)
     out_l, _ = dispatch_loop(layer, tokens)
-    assert out_b.dtype == np.float32
-    assert np.array_equal(out_b, out_l)
+    for threads in (1, 2, 8):
+        out_b, _ = dispatch_batch(layer, tokens, threads=threads)
+        assert out_b.dtype == np.float32
+        assert np.array_equal(out_b, out_l)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -168,8 +212,6 @@ def test_dimension_mismatch(rng):
 def test_batched_faster_than_loop_smoke(rng):
     # the full-size throughput claim lives in the acceptance suite; this is
     # a cheap sanity check that batching wins already at modest size
-    import time
-
     base = random_ffn(rng, 64, 128)
     layer = expand_supernet(base, MoeConfig(token_dim=64, hidden_dim=128,
                                             n_replicas=4, granularity=2, seed=0))

@@ -287,13 +287,16 @@ class TestGroupByExpert:
         for e, expected in enumerate(_tokens_by_nonzero(selected, n_experts)):
             assert np.array_equal(groups.tokens_of(e), expected)
         assert groups.offsets[0] == 0 and groups.offsets[-1] == t * k
-        assert groups.pos.shape == (t, k)
-        assert sorted(groups.pos.ravel().tolist()) == list(range(t * k))
-        for j in range(k):
-            pos = groups.pos[:, j]
-            assert np.array_equal(groups.token_ids[pos], np.arange(t))
-            owner = np.searchsorted(groups.offsets, pos, side="right") - 1
-            assert np.array_equal(owner, selected[:, j])
+        assert groups.token_ids.shape == (t * k,)
+        # every assignment (t, j) appears exactly once: ordering the
+        # (token, owning expert) pairs token-major gives the selection back
+        owner = np.repeat(np.arange(n_experts), np.diff(groups.offsets))
+        order = np.lexsort((owner, groups.token_ids))
+        assert np.array_equal(groups.token_ids[order], np.repeat(np.arange(t), k))
+        assert np.array_equal(owner[order].reshape(t, k), selected)
+        busy = [e for e in range(n_experts) if groups.tokens_of(e).size]
+        assert [e for e, _ in groups.nonempty()] == busy
+        assert all(np.array_equal(idx, groups.tokens_of(e)) for e, idx in groups.nonempty())
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -310,7 +313,8 @@ class TestGroupByExpert:
     def test_empty_batch(self):
         groups = group_by_expert(np.zeros((0, 3), dtype=np.int64), 5)
         assert groups.offsets.tolist() == [0] * 6
-        assert groups.pos.shape == (0, 3)
+        assert groups.token_ids.shape == (0,)
+        assert groups.nonempty() == []
         assert all(groups.tokens_of(e).size == 0 for e in range(5))
 
     def test_every_expert_selected(self):
@@ -322,11 +326,28 @@ class TestGroupByExpert:
         groups = group_by_expert(selected, 7)
         assert [groups.tokens_of(e).tolist() for e in range(7)] == [[], [0, 1, 3], [1, 2], [], [0, 2, 3], [], []]
 
+    @pytest.mark.parametrize("n_experts", [256, 257, 300, 65536, 65537, 70_000])
+    def test_sort_key_widths(self, n_experts):
+        # the sort key is 8, 16 or 32 bits wide depending on n_experts - 1;
+        # the grouping must not depend on which
+        top = n_experts - 1
+        selected = np.array([[0, top // 2, top], [1, top - 1, top], [0, 1, 2],
+                             [top - 2, top - 1, top], [0, 128, top]])
+        self._check(selected, n_experts)
+        assert group_by_expert(selected, n_experts).tokens_of(top).tolist() == [0, 1, 3, 4]
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             group_by_expert(np.array([[0, 3]]), 3)
         with pytest.raises(ShapeError):
             group_by_expert(np.array([0, 1]), 3)
+
+    @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
+    def test_rows_must_ascend_strictly(self, row):
+        # a repeated expert would be added once, not twice; a descending
+        # row would be added out of moe_forward's order
+        with pytest.raises(ValueError, match="ascend strictly"):
+            group_by_expert(np.array([[0, 1], row]), 5)
 
 
 class TestMoeForward:

@@ -192,6 +192,22 @@ class TestSoftmax:
         for t in range(50):
             assert np.array_equal(s[t], _row_softmax(z[t]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_of_the_textbook_form_and_input_kept(self, dtype):
+        rng = make_rng(8)
+        z = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-3, 3, size=(40, 1))
+        z[0] = 700.0                       # all tied, large
+        z[1, :4] = z[1].max() + 1e3        # tied maxima
+        z[2] = [-1e4, 1e4, 0, 1e4, 3, -3, 1e4, 0, 5]
+        z = z.astype(dtype)
+        before = z.copy()
+        m = np.max(z, axis=-1, keepdims=True)
+        expected = np.exp(z - m) / np.sum(np.exp(z - m), axis=-1, keepdims=True)
+        out = softmax_rows(z)
+        assert out.dtype == dtype
+        assert np.array_equal(out, expected)
+        assert np.array_equal(z, before)
+
 
 class TestActivations:
     def test_relu_examples(self):

@@ -70,6 +70,14 @@ def test_truncated_payload_rejected(tmp_path, rng):
         load_ffn(path)
 
 
+def test_ffn_trailing_bytes_rejected(tmp_path, rng):
+    path = tmp_path / "ffn.bin"
+    save_ffn(path, random_ffn(rng, 4, 8))
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(FormatError, match="trailing"):
+        load_ffn(path)
+
+
 def test_moe_layer_roundtrip(tmp_path, rng):
     layer, _, cfg = random_layer(rng, n_replicas=3, granularity=2, perturb=0.4)
     dense = init_toy_model(cfg.token_dim, cfg.hidden_dim, seed=4)
@@ -114,6 +122,10 @@ def _toy_bytes(tmp_path, model) -> bytes:
     return path.read_bytes()
 
 
+# magic, four u32s, f64 input/head weights and biases of a 6-dim toy model
+_TOY_HEADER = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)
+
+
 def test_toy_model_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "toy.ckpt"
     path.write_bytes(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)) + b"junk")
@@ -124,7 +136,7 @@ def test_toy_model_trailing_bytes_rejected(tmp_path):
 def test_toy_model_unread_nested_bytes_rejected(tmp_path):
     # the blob length claims four more bytes than the nested FFN container holds
     raw = _toy_bytes(tmp_path, init_toy_model(6, 12, seed=4))
-    header = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)  # magic, four u32s, f64 input/head weights and biases
+    header = _TOY_HEADER
     (blob_len,) = struct.unpack("<Q", raw[header:header + 8])
     path = tmp_path / "toy.ckpt"
     path.write_bytes(raw[:header] + struct.pack("<Q", blob_len + 4) + raw[header + 8:] + b"junk")
@@ -167,3 +179,34 @@ def test_empty_trace_file_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(FormatError):
         read_trace_jsonl(path)
+
+
+@pytest.mark.parametrize("kind", ["dense", "moe"])
+def test_toy_model_nested_dtype_mismatch_rejected(tmp_path, rng, kind):
+    # an f64 toy model holding an f32 block would run in mixed precision
+    outer = init_toy_model(6, 12, seed=4)
+    if kind == "dense":
+        block = random_ffn(rng, 6, 12).astype(np.float32)
+    else:
+        block = expand_supernet(random_ffn(rng, 6, 12).astype(np.float32),
+                                MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
+    path = tmp_path / "toy.ckpt"
+    save_toy_model(path, ToyModel(outer.input_w, outer.input_b, block, outer.head_w, outer.head_b))
+    with pytest.raises(FormatError, match="dtype"):
+        load_toy_model(path)
+
+
+def test_nested_moe_invalid_config_rejected(tmp_path):
+    dense = init_toy_model(6, 12, seed=4)
+    layer = expand_supernet(dense.block, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
+    raw = bytearray(_toy_bytes(tmp_path, ToyModel(dense.input_w, dense.input_b, layer,
+                                                  dense.head_w, dense.head_b)))
+    # the nested MMOE header: magic, then u32 version, dtype, activation,
+    # token_dim, hidden_dim, n_replicas, granularity
+    granularity_at = _TOY_HEADER + 8 + 4 + 6 * 4
+    assert struct.unpack("<I", raw[granularity_at:granularity_at + 4]) == (2,)
+    raw[granularity_at:granularity_at + 4] = struct.pack("<I", 0)
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="granularity"):
+        load_toy_model(path)
