@@ -77,10 +77,8 @@ from .numkernel import (
 )
 from .serialize import (
     FormatError,
-    load_ffn,
     load_toy_model,
     read_trace_jsonl,
-    save_ffn,
     save_toy_model,
     write_trace_jsonl,
 )

@@ -49,14 +49,7 @@ from .harness import (
 )
 from .moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, load_balance_loss, split_ffn
 from .numkernel import KERNEL, STREAM_BENCH, make_rng
-from .serialize import (
-    FormatError,
-    load_ffn,
-    load_toy_model,
-    read_trace_jsonl,
-    save_toy_model,
-    write_trace_jsonl,
-)
+from .serialize import FormatError, load_toy_model, read_trace_jsonl, save_toy_model, write_trace_jsonl
 
 ENV_THREADS = "MOEFORGE_THREADS"
 
@@ -196,9 +189,7 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
         "out_dir": str(out_dir),
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(out_dir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_summary_json(out_dir / "manifest.json", manifest)
 
 
 def _write_curves_csv(path, curves: list[dict]) -> None:
@@ -209,12 +200,6 @@ def _write_curves_csv(path, curves: list[dict]) -> None:
         f.write(",".join(columns) + "\n")
         for row in curves:
             f.write(",".join(repr(row[c]) if c != "step" else str(row[c]) for c in columns) + "\n")
-
-
-def _write_metrics_json(path, metrics: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
 
 
 def _write_labels_csv(path, labels) -> None:
@@ -267,7 +252,7 @@ def cmd_pretrain(args) -> int:
     write_manifest(out, "pretrain", args, cfg)
     save_toy_model(out / "base.ckpt", result.model)
     _write_curves_csv(out / "curves.csv", result.curves)
-    _write_metrics_json(out / "metrics.json", {
+    write_summary_json(out / "metrics.json", {
         "mse": result.final_eval.mse,
         "steps": train_cfg.steps,
         "stage": STAGE_PRETRAIN,
@@ -311,7 +296,7 @@ def cmd_tune(args) -> int:
     write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base})
     save_toy_model(out / "tuned.ckpt", result.model)
     _write_curves_csv(out / "curves.csv", result.curves)
-    _write_metrics_json(out / "metrics.json", result.metrics)
+    write_summary_json(out / "metrics.json", result.metrics)
     write_trace_jsonl(out / "trace.jsonl", result.final_eval.trace)
     _write_labels_csv(out / "labels.csv", result.final_eval.labels)
     write_matrix_csv(out / "coselection.csv", result.coselection)
@@ -335,7 +320,7 @@ def cmd_ablate(args) -> int:
         for row in rows:
             f.write(f"{row['combo']},{row['mse']!r},{row['base_mse']!r},"
                     f"{row['aux_loss']!r},{row['nmi']!r}\n")
-    _write_metrics_json(out / "ablation.json", {"rows": rows})
+    write_summary_json(out / "ablation.json", {"rows": rows})
     for row in rows:
         print(f"{row['combo']:>14}: mse {row['mse']:.6g}")
     return 0
@@ -444,14 +429,10 @@ def cmd_bench_dispatch(args) -> int:
 
 
 def cmd_split_inspect(args) -> int:
-    path = Path(args.ckpt)
-    try:
-        base = load_ffn(path)
-    except FormatError:
-        model = load_toy_model(path)
-        if model.kind != "dense":
-            raise ConfigError(f"{path}: checkpoint already holds a mixture layer")
-        base = model.block
+    model = load_toy_model(args.ckpt)
+    if model.kind != "dense":
+        raise ConfigError(f"{args.ckpt}: checkpoint already holds a mixture layer")
+    base = model.block
     try:
         experts = split_ffn(base, args.granularity)
     except ValueError as e:

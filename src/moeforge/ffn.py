@@ -51,12 +51,6 @@ class FfnParams:
     def copy(self) -> "FfnParams":
         return FfnParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.activation)
 
-    def astype(self, dtype) -> "FfnParams":
-        return FfnParams(
-            self.w1.astype(dtype), self.b1.astype(dtype),
-            self.w2.astype(dtype), self.b2.astype(dtype), self.activation,
-        )
-
 
 @dataclass
 class FfnGrads:

@@ -220,20 +220,6 @@ class TrainConfig:
 
 
 @dataclass
-class ModelGrads:
-    """One backward pass over a batch: whichever block the model has, plus head and map."""
-
-    block: Optional[FfnGrads]
-    experts: Optional[list[Optional[FfnGrads]]]
-    router_w: Optional[np.ndarray]
-    router_b: Optional[np.ndarray]
-    head_w: np.ndarray
-    head_b: np.ndarray
-    map_w: np.ndarray
-    map_b: np.ndarray
-
-
-@dataclass
 class EvalResult:
     mse: float
     aux_loss: Optional[float]
@@ -271,42 +257,69 @@ def model_predict(model: ToyModel, tokens: np.ndarray, threads: int = 1) -> np.n
     return _model_forward(model, tokens, threads)[2]
 
 
+def _ffn_named(prefix: str, p: FfnParams | FfnGrads) -> list[tuple[str, np.ndarray]]:
+    """(name, array) for the w1/b1/w2/b2 of an FfnParams or an FfnGrads."""
+    return [(f"{prefix}.w1", p.w1), (f"{prefix}.b1", p.b1), (f"{prefix}.w2", p.w2), (f"{prefix}.b2", p.b2)]
+
+
+def _parameters(model: ToyModel):
+    """Yield (name, part, array) for every array training can update.
+
+    The order is fixed: the dense block or the experts in index order, then
+    the router, the head and the input map. ``part`` picks the learning rate
+    and the trainable flag, and it is the gradcheck group.
+    """
+    if model.kind == "dense":
+        for name, a in _ffn_named("block", model.block):
+            yield name, "experts", a
+    else:
+        layer = model.block
+        for e, p in enumerate(layer.experts):
+            for name, a in _ffn_named(f"expert{e}", p):
+                yield name, "experts", a
+        yield "router.w_r", "router", layer.router.w_r
+        yield "router.b_r", "router", layer.router.b_r
+    yield "head_w", "head", model.head_w
+    yield "head_b", "head", model.head_b
+    yield "input_w", "map", model.input_w
+    yield "input_b", "map", model.input_b
+
+
 def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
                    alpha: float, threads: int = 1):
     """Forward + backward over one batch.
 
-    Returns (ModelGrads, task mse, balance loss, trace). Router gradients
-    follow the hard-gate contract: balance loss only, assignment fractions
-    frozen at their batch values.
+    Returns (grads, task mse, balance loss, trace); grads maps the names of
+    _parameters to their gradients, and an expert that got no tokens has no
+    entry. Router gradients follow the hard-gate contract: balance loss
+    only, assignment fractions frozen at their batch values. The map
+    gradient takes the balance loss's path through the router scores too.
     """
     u, v, y, trace = _model_forward(model, tokens, threads)
     diff = y - targets
     mse = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff
-    g_head_w = mm(dy.T, v)
-    g_head_b = dy.sum(axis=0)
+    grads = {"head_w": mm(dy.T, v), "head_b": dy.sum(axis=0)}
     dv = mm(dy, model.head_w)
 
     if model.kind == "dense":
         block_grads, du = ffn_backward_batch(model.block, u, dv)
-        experts = router_w = router_b = None
+        grads.update(_ffn_named("block", block_grads))
         aux = 0.0
     else:
         layer = model.block
-        block_grads = None
-        experts = [None] * layer.config.n_experts
         # Same grouping and ascending-expert adds as dispatch_batch's forward.
         du = np.zeros_like(u)
         for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
-            experts[e], du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
+            expert_grads, du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
+            grads.update(_ffn_named(f"expert{e}", expert_grads))
             add_rows(du, idx, du_e)
         aux = load_balance_loss(trace)
-        router_w, router_b = balance_loss_backward(trace, u, alpha)
+        grads["router.w_r"], grads["router.b_r"], d_logits = balance_loss_backward(trace, u, alpha)
+        du += mm(d_logits, layer.router.w_r)
 
-    g_map_w = mm(du.T, tokens)
-    g_map_b = du.sum(axis=0)
-    grads = ModelGrads(block_grads, experts, router_w, router_b,
-                       g_head_w, g_head_b, g_map_w, g_map_b)
+    grads["input_w"] = mm(du.T, tokens)
+    grads["input_b"] = du.sum(axis=0)
     return grads, mse, aux, trace
 
 
@@ -342,34 +355,14 @@ def _make_optimizer(cfg: TrainConfig):
     return _AdamW() if cfg.optimizer == "adamw" else _Sgd()
 
 
-def _apply_updates(model: ToyModel, grads: ModelGrads, cfg: TrainConfig, opt) -> None:
-    lr_head = cfg.lr if cfg.lr_head is None else cfg.lr_head
-    lr_router = cfg.lr if cfg.lr_router is None else cfg.lr_router
-    if cfg.trainable_moe:
-        if model.kind == "dense":
-            b = model.block
-            g = grads.block
-            opt.step("block.w1", b.w1, g.w1, cfg.lr)
-            opt.step("block.b1", b.b1, g.b1, cfg.lr)
-            opt.step("block.w2", b.w2, g.w2, cfg.lr)
-            opt.step("block.b2", b.b2, g.b2, cfg.lr)
-        else:
-            for e, g in enumerate(grads.experts):
-                if g is None:
-                    continue
-                p = model.block.experts[e]
-                opt.step(f"expert{e}.w1", p.w1, g.w1, cfg.lr)
-                opt.step(f"expert{e}.b1", p.b1, g.b1, cfg.lr)
-                opt.step(f"expert{e}.w2", p.w2, g.w2, cfg.lr)
-                opt.step(f"expert{e}.b2", p.b2, g.b2, cfg.lr)
-            opt.step("router.w_r", model.block.router.w_r, grads.router_w, lr_router)
-            opt.step("router.b_r", model.block.router.b_r, grads.router_b, lr_router)
-    if cfg.trainable_head:
-        opt.step("head_w", model.head_w, grads.head_w, lr_head)
-        opt.step("head_b", model.head_b, grads.head_b, lr_head)
-    if cfg.trainable_map:
-        opt.step("input_w", model.input_w, grads.map_w, cfg.lr)
-        opt.step("input_b", model.input_b, grads.map_b, cfg.lr)
+def _apply_updates(model: ToyModel, grads: dict, cfg: TrainConfig, opt) -> None:
+    lr = {"experts": cfg.lr, "router": cfg.lr if cfg.lr_router is None else cfg.lr_router,
+          "head": cfg.lr if cfg.lr_head is None else cfg.lr_head, "map": cfg.lr}
+    trainable = {"experts": cfg.trainable_moe, "router": cfg.trainable_moe,
+                 "head": cfg.trainable_head, "map": cfg.trainable_map}
+    for name, part, param in _parameters(model):
+        if trainable[part] and name in grads:
+            opt.step(name, param, grads[name], lr[part])
 
 
 def _check_curve_value(label: str, value: float, step: int, cfg: TrainConfig) -> None:
@@ -502,19 +495,7 @@ def ablate_tuning_subsets(task: SyntheticTask, base_model: ToyModel, moe_cfg: Mo
 # Gradient checking
 
 
-def _named_arrays(model: ToyModel, grads: Optional[ModelGrads] = None):
-    """Yield (group, name, param array, matching grad array or None)."""
-    layer = model.block
-    for e, p in enumerate(layer.experts):
-        g = grads.experts[e] if grads is not None else None
-        yield "experts", f"expert{e}.w1", p.w1, None if g is None else g.w1
-        yield "experts", f"expert{e}.b1", p.b1, None if g is None else g.b1
-        yield "experts", f"expert{e}.w2", p.w2, None if g is None else g.w2
-        yield "experts", f"expert{e}.b2", p.b2, None if g is None else g.b2
-    yield "router", "router.w_r", layer.router.w_r, None if grads is None else grads.router_w
-    yield "router", "router.b_r", layer.router.b_r, None if grads is None else grads.router_b
-    yield "head", "head_w", model.head_w, None if grads is None else grads.head_w
-    yield "head", "head_b", model.head_b, None if grads is None else grads.head_b
+_GRADCHECK_PERTURB = {"experts": 0.3, "router": 0.5}
 
 
 def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int],
@@ -533,15 +514,11 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         moe_cfg = MoeConfig(token_dim=token_dim, hidden_dim=hidden_dim,
                             n_replicas=n_replicas, granularity=granularity, seed=seed)
         layer = expand_supernet(model.block, moe_cfg)
-        # leave the identity-preserving start: perturb everything mildly
-        for p in layer.experts:
-            p.w1 += 0.3 * sub.normal(size=p.w1.shape)
-            p.b1 += 0.3 * sub.normal(size=p.b1.shape)
-            p.w2 += 0.3 * sub.normal(size=p.w2.shape)
-            p.b2 += 0.3 * sub.normal(size=p.b2.shape)
-        layer.router.w_r += 0.5 * sub.normal(size=layer.router.w_r.shape)
-        layer.router.b_r += 0.5 * sub.normal(size=layer.router.b_r.shape)
         model = ToyModel(model.input_w, model.input_b, layer, model.head_w, model.head_b)
+        # leave the identity-preserving start: perturb experts and router mildly
+        for _, part, param in _parameters(model):
+            if part in _GRADCHECK_PERTURB:
+                param += _GRADCHECK_PERTURB[part] * sub.normal(size=param.shape)
         tokens = sub.normal(size=(batch, token_dim))
         targets = sub.normal(size=(batch, token_dim))
 
@@ -586,7 +563,7 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
             dims_pool.append((token_dim, width * granularity, n_replicas, granularity))
         dims_pool = dims_pool[:n_instances]
 
-    group_err = {"experts": 0.0, "router": 0.0, "head": 0.0}
+    group_err = {"experts": 0.0, "router": 0.0, "head": 0.0, "map": 0.0}
     worst: dict = {}
     alpha0_router_max = 0.0
 
@@ -601,8 +578,8 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
         grads, _, _, _ = grad_fn(model, tokens, targets, alpha)
         analytic_by_group: dict[str, list[float]] = {g: [] for g in group_err}
         fd_by_group: dict[str, list[float]] = {g: [] for g in group_err}
-        for group, name, param, grad in _named_arrays(model, grads):
-            grad = np.zeros_like(param) if grad is None else grad
+        for name, group, param in _parameters(model):
+            grad = grads.get(name, np.zeros_like(param))
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
                 param[idx] = orig + fd_step
@@ -628,8 +605,8 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
 
         grads0, _, _, _ = grad_fn(model, tokens, targets, 0.0)
         alpha0_router_max = max(alpha0_router_max,
-                                float(np.max(np.abs(grads0.router_w))),
-                                float(np.max(np.abs(grads0.router_b))))
+                                float(np.max(np.abs(grads0["router.w_r"]))),
+                                float(np.max(np.abs(grads0["router.b_r"]))))
 
     worst["rel"] = worst.pop("absdiff", 0.0) / max(abs(worst.get("analytic", 0.0)),
                                                    abs(worst.get("fd", 0.0)), 1e-6)

@@ -468,10 +468,11 @@ def total_loss(task: float, aux: float, alpha: float = 0.01) -> float:
 
 
 def balance_loss_backward(trace: RoutingTrace, tokens: np.ndarray, aux_weight: float):
-    """Exact router gradient of aux_weight * load_balance_loss(trace).
+    """Exact gradient of aux_weight * load_balance_loss(trace) through the router.
 
     Assignment fractions are held constant; only the score means
-    differentiate. Returns (d w_r, d b_r).
+    differentiate. Returns (d w_r, d b_r, d logits); ``mm(d_logits, w_r)``
+    is the loss's gradient with respect to the tokens.
     """
     tokens = np.asarray(tokens)
     if trace.n_tokens < 1:
@@ -485,4 +486,4 @@ def balance_loss_backward(trace: RoutingTrace, tokens: np.ndarray, aux_weight: f
     c = s * (w[None, :] - inner)
     d_wr = mm(c.T, tokens)
     d_br = c.sum(axis=0)
-    return d_wr, d_br
+    return d_wr, d_br, c

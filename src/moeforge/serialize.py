@@ -1,7 +1,8 @@
 """Versioned weight containers and trace export.
 
-Binary layout (all integers little-endian, payloads row-major in the declared
-dtype):
+One file format holds weights: the toy model container ``MTOY``, with its
+block nested inside as an ``MFFN`` or ``MMOE`` container. Binary layout (all
+integers little-endian, payloads row-major in the declared dtype):
 
 FFN container, magic ``MFFN`` version 1::
 
@@ -121,19 +122,6 @@ def _parse_ffn(f) -> FfnParams:
     w2 = _read_array(f, (dim, hidden), dtype)
     b2 = _read_array(f, (dim,), dtype)
     return FfnParams(w1, b1, w2, b2, _ACTIVATION_CODES[act_code])
-
-
-def save_ffn(path, p: FfnParams) -> None:
-    with open(path, "wb") as f:
-        _dump_ffn(f, p)
-
-
-def load_ffn(path) -> FfnParams:
-    with open(path, "rb") as f:
-        p = _parse_ffn(f)
-        if f.read(1):
-            raise FormatError("trailing bytes after the FFN container")
-    return p
 
 
 def _dump_moe(f, layer: MoeLayer) -> None:

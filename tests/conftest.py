@@ -15,13 +15,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def random_ffn(rng, token_dim, hidden_dim, activation="relu"):
-    """Fan-in scaled weights with jittered biases so relu regions are nontrivial."""
+def random_ffn(rng, token_dim, hidden_dim, activation="relu", dtype=np.float64):
+    """Fan-in scaled weights with jittered biases so relu regions are nontrivial.
+
+    The draws are float64 whatever the dtype, so a float32 FFN rounds the
+    float64 one drawn from the same generator state.
+    """
     w1 = rng.normal(size=(hidden_dim, token_dim)) / np.sqrt(token_dim)
     b1 = 0.1 * rng.normal(size=hidden_dim)
     w2 = rng.normal(size=(token_dim, hidden_dim)) / np.sqrt(hidden_dim)
     b2 = 0.1 * rng.normal(size=token_dim)
-    return FfnParams(w1, b1, w2, b2, activation)
+    return FfnParams(*(a.astype(dtype) for a in (w1, b1, w2, b2)), activation)
 
 
 def random_layer(rng, token_dim=8, hidden_dim=16, n_replicas=3, granularity=2,

@@ -24,8 +24,7 @@ PUBLIC_API = {
     "ShapeError", "Matrix", "Vector", "gelu", "gelu_grad", "make_rng", "mm", "relu", "relu_grad",
     "softmax_rows",
     # serialize
-    "FormatError", "load_ffn", "load_toy_model", "read_trace_jsonl", "save_ffn", "save_toy_model",
-    "write_trace_jsonl",
+    "FormatError", "load_toy_model", "read_trace_jsonl", "save_toy_model", "write_trace_jsonl",
 }
 
 

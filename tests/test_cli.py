@@ -11,8 +11,9 @@ import moeforge.harness
 import moeforge.moe
 from moeforge import numkernel
 from moeforge.cli import default_config, load_config, main, ConfigError
-from moeforge.harness import TrainConfig
+from moeforge.harness import TrainConfig, init_toy_model
 from moeforge.moe import MoeConfig
+from moeforge.serialize import save_toy_model
 
 SMALL_CONFIG = {
     "task": {"n_patterns": 3, "token_dim": 6, "noise_std": 0.1, "seed": 21},
@@ -268,7 +269,7 @@ class TestGradcheckCommand:
 
         def corrupted(model, tokens, targets, alpha, threads=1):
             grads, mse, aux, trace = real(model, tokens, targets, alpha, threads)
-            grads.router_w = grads.router_w + 0.05
+            grads["router.w_r"] = grads["router.w_r"] + 0.05
             return grads, mse, aux, trace
 
         monkeypatch.setattr(moeforge.harness, "_collect_grads", corrupted)
@@ -367,18 +368,19 @@ class TestSplitInspectCommand:
         residual = float(out.strip().splitlines()[-1].split(":")[-1])
         assert residual <= 1e-12
 
-    def test_on_raw_ffn_file(self, tmp_path, capsys, rng):
-        from moeforge.serialize import save_ffn
+    def test_raw_ffn_file_rejected(self, tmp_path, capsys, rng):
+        # an FFN container exists only nested in a toy model file
+        from moeforge.serialize import _dump_ffn
         from conftest import random_ffn
         path = tmp_path / "ffn.bin"
-        save_ffn(path, random_ffn(rng, 4, 8))
-        assert main(["split-inspect", "--ckpt", str(path), "--granularity", "4"]) == 0
+        with open(path, "wb") as f:
+            _dump_ffn(f, random_ffn(rng, 4, 8))
+        assert main(["split-inspect", "--ckpt", str(path), "--granularity", "4"]) == 2
+        assert "bad magic b'MFFN'" in capsys.readouterr().err
 
-    def test_indivisible_exits_2(self, tmp_path, rng):
-        from moeforge.serialize import save_ffn
-        from conftest import random_ffn
-        path = tmp_path / "ffn.bin"
-        save_ffn(path, random_ffn(rng, 4, 9))
+    def test_indivisible_exits_2(self, tmp_path):
+        path = tmp_path / "toy.ckpt"
+        save_toy_model(path, init_toy_model(4, 9, seed=0))
         assert main(["split-inspect", "--ckpt", str(path), "--granularity", "2"]) == 2
 
 

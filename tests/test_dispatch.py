@@ -176,7 +176,7 @@ def test_every_selected_expert_contributes(rng):
 
 
 def test_bitwise_equivalence_holds_in_f32(rng):
-    base = random_ffn(rng, 8, 16).astype(np.float32)
+    base = random_ffn(rng, 8, 16, dtype=np.float32)
     cfg = MoeConfig(token_dim=8, hidden_dim=16, n_replicas=3, granularity=2, seed=6)
     layer = expand_supernet(base, cfg)
     tokens = rng.normal(size=(57, 8)).astype(np.float32)
@@ -190,7 +190,7 @@ def test_bitwise_equivalence_holds_in_f32(rng):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n_tokens", [0, 5])
 def test_loop_and_batch_agree_on_dtype_and_shape(rng, dtype, n_tokens):
-    base = random_ffn(rng, 8, 16).astype(dtype)
+    base = random_ffn(rng, 8, 16, dtype=dtype)
     layer = expand_supernet(base, MoeConfig(token_dim=8, hidden_dim=16, n_replicas=3, granularity=2, seed=6))
     tokens = rng.normal(size=(n_tokens, 8)).astype(dtype)
     batched, looped = dispatch_batch(layer, tokens), dispatch_loop(layer, tokens)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from moeforge.harness import (
     run_gradcheck,
 )
 from moeforge.ffn import ffn_backward_batch
-from moeforge.moe import MoeConfig, dispatch_loop
+from moeforge.moe import MoeConfig, balance_loss_backward, dispatch_loop, expand_supernet
 from moeforge.numkernel import make_rng, mm
 
 from conftest import random_layer
@@ -312,7 +314,11 @@ class TestTrainConfig:
 
 
 def _collect_grads_reference(model, tokens, targets, alpha):
-    """Expert and map gradients with one nonzero scan and one scatter per expert."""
+    """Expert and map gradients with one nonzero scan and one scatter per expert.
+
+    The map gradient adds the balance loss's path through the router after
+    the experts' rows.
+    """
     layer = model.block
     u = mm(tokens, model.input_w.T) + model.input_b
     v, trace = dispatch_loop(layer, u)
@@ -327,6 +333,7 @@ def _collect_grads_reference(model, tokens, targets, alpha):
             g, du_e = ffn_backward_batch(p, u[idx], dv[idx])
             du[idx] += du_e
         experts.append(g)
+    du += mm(balance_loss_backward(trace, u, alpha)[2], layer.router.w_r)
     return experts, mm(du.T, tokens), du.sum(axis=0)
 
 
@@ -348,13 +355,13 @@ def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, thr
     grads, _, _, _ = _collect_grads(model, tokens, targets, 0.01, threads)
     experts, map_w, map_b = _collect_grads_reference(model, tokens, targets, 0.01)
     assert (None in experts) == (n_tokens * cfg.top_k < cfg.n_experts)
-    for got, want in zip(grads.experts, experts):
-        assert (got is None) == (want is None)
+    for e, want in enumerate(experts):
+        assert (f"expert{e}.w1" in grads) == (want is not None)
         if want is not None:
-            for a, b in zip((got.w1, got.b1, got.w2, got.b2), (want.w1, want.b1, want.w2, want.b2)):
-                assert np.array_equal(a, b)
-    assert np.array_equal(grads.map_w, map_w)
-    assert np.array_equal(grads.map_b, map_b)
+            for field in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(grads[f"expert{e}.{field}"], getattr(want, field))
+    assert np.array_equal(grads["input_w"], map_w)
+    assert np.array_equal(grads["input_b"], map_b)
 
 
 class TestGradcheck:
@@ -369,10 +376,65 @@ class TestGradcheck:
 
         def corrupted(model, tokens, targets, alpha, threads=1):
             grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha, threads)
-            grads.head_w = grads.head_w * 1.5
+            grads["head_w"] = grads["head_w"] * 1.5
             return grads, mse, aux, trace
 
         report = run_gradcheck(seed=0, n_instances=2, grad_fn=corrupted)
         assert not report["passed"]
         assert report["groups"]["head"] > report["tol"]
         assert report["worst"]["group"] == "head"
+
+
+def _arrays_held(obj):
+    """Every ndarray reachable through the dataclass fields and lists of obj."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, list):
+        return [a for item in obj for a in _arrays_held(item)]
+    if dataclasses.is_dataclass(obj):
+        return [a for f in dataclasses.fields(obj) for a in _arrays_held(getattr(obj, f.name))]
+    return []
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("kind", ["dense", "moe"])
+    def test_table_covers_the_model(self, kind):
+        from moeforge.harness import ToyModel, _parameters
+
+        model = init_toy_model(6, 12, seed=3)
+        if kind == "moe":
+            layer = expand_supernet(model.block, small_moe_cfg())
+            model = ToyModel(model.input_w, model.input_b, layer, model.head_w, model.head_b)
+        held = _arrays_held(model)
+        table = [a for _, _, a in _parameters(model)]
+        # four FFN arrays per block or expert, two router arrays, four head and map arrays
+        assert len(held) == (4 + 4 if kind == "dense" else 4 * small_moe_cfg().n_experts + 2 + 4)
+        assert len(table) == len(held)
+        assert {id(a) for a in table} == {id(a) for a in held}
+        names = [name for name, _, _ in _parameters(model)]
+        assert len(set(names)) == len(names)
+
+    def test_empty_experts_are_never_stepped(self):
+        # 3 tokens over 16 experts at top-2: at least 10 experts get no tokens
+        from moeforge.harness import ToyModel, _AdamW, _apply_updates, _collect_grads, _parameters
+
+        rng = make_rng(41)
+        base = init_toy_model(8, 16, seed=41)
+        layer, _, cfg = random_layer(rng, 8, 16, n_replicas=4, granularity=4, top_k=2)
+        model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
+        tokens = rng.normal(size=(3, 8))
+        targets = rng.normal(size=(3, 8))
+        grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
+        empty = sorted(set(range(cfg.n_experts)) - set(trace.selected.ravel().tolist()))
+        assert empty
+        before = {name: a.copy() for name, _, a in _parameters(model)}
+        opt = _AdamW()
+        _apply_updates(model, grads, TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw",
+                                                 trainable_map=True), opt)
+        unstepped = {f"expert{e}.{field}" for e in empty for field in ("w1", "b1", "w2", "b2")}
+        for name, _, a in _parameters(model):
+            if name in unstepped:
+                assert name not in opt.t and name not in opt.m and name not in opt.v
+                assert a.tobytes() == before[name].tobytes()
+            else:
+                assert opt.t[name] == 1

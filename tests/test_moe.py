@@ -25,7 +25,7 @@ from moeforge.moe import (
     top_k_select_rows,
     total_loss,
 )
-from moeforge.numkernel import ShapeError, make_rng
+from moeforge.numkernel import ShapeError, make_rng, mm
 
 from conftest import random_ffn, random_layer
 
@@ -79,7 +79,7 @@ class TestSplitFfn:
     def test_sum_identity_f32_relaxed(self):
         # 32-bit opt-in mode: same identity at the relaxed tolerance
         rng = make_rng(32)
-        p = random_ffn(rng, 16, 64).astype(np.float32)
+        p = random_ffn(rng, 16, 64, dtype=np.float32)
         x = rng.normal(size=(1000, 16)).astype(np.float32)
         full = ffn_forward_batch(p, x)
         total = np.zeros_like(full)
@@ -496,7 +496,8 @@ class TestBalanceLossBackward:
         from moeforge.moe import dispatch_batch
         _, trace = dispatch_batch(layer, tokens)
         alpha = 0.3
-        d_wr, d_br = balance_loss_backward(trace, tokens, alpha)
+        d_wr, d_br, d_logits = balance_loss_backward(trace, tokens, alpha)
+        d_tokens = mm(d_logits, layer.router.w_r)
         f = assignment_fractions(trace)
 
         def loss():
@@ -504,7 +505,7 @@ class TestBalanceLossBackward:
             return alpha * cfg.n_experts * float(np.sum(f * s.mean(axis=0)))
 
         h = 1e-6
-        for param, grad in ((layer.router.w_r, d_wr), (layer.router.b_r, d_br)):
+        for param, grad in ((layer.router.w_r, d_wr), (layer.router.b_r, d_br), (tokens, d_tokens)):
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
                 param[idx] = orig + h

@@ -8,10 +8,8 @@ from moeforge.harness import ToyModel, init_toy_model
 from moeforge.moe import MoeConfig, dispatch_batch, expand_supernet
 from moeforge.serialize import (
     FormatError,
-    load_ffn,
     load_toy_model,
     read_trace_jsonl,
-    save_ffn,
     save_toy_model,
     write_trace_jsonl,
 )
@@ -26,18 +24,36 @@ def _assert_ffn_equal(a, b):
         assert np.array_equal(x, y)
 
 
+def _toy_bytes(tmp_path, model) -> bytes:
+    path = tmp_path / "src.ckpt"
+    save_toy_model(path, model)
+    return path.read_bytes()
+
+
+def _around(block):
+    """A dense toy model holding block, in the block's token_dim and dtype."""
+    outer = init_toy_model(block.token_dim, 4, seed=4, dtype=block.w1.dtype)
+    return ToyModel(outer.input_w, outer.input_b, block, outer.head_w, outer.head_b)
+
+
+# magic, four u32s, f64 input/head weights and biases of a 6-dim toy model
+_TOY_HEADER = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)
+# the nested container starts after the header and the u64 blob length
+_NESTED = _TOY_HEADER + 8
+
+
 def test_ffn_binary_roundtrip(tmp_path, rng):
     p = random_ffn(rng, 5, 12, "gelu")
-    path = tmp_path / "ffn.bin"
-    save_ffn(path, p)
-    _assert_ffn_equal(load_ffn(path), p)
+    path = tmp_path / "toy.ckpt"
+    save_toy_model(path, _around(p))
+    _assert_ffn_equal(load_toy_model(path).block, p)
 
 
 def test_ffn_binary_roundtrip_f32(tmp_path, rng):
-    p = random_ffn(rng, 3, 4).astype(np.float32)
-    path = tmp_path / "ffn32.bin"
-    save_ffn(path, p)
-    loaded = load_ffn(path)
+    p = random_ffn(rng, 3, 4, dtype=np.float32)
+    path = tmp_path / "toy32.ckpt"
+    save_toy_model(path, _around(p))
+    loaded = load_toy_model(path).block
     assert loaded.w1.dtype == np.float32
     _assert_ffn_equal(loaded, p)
 
@@ -45,37 +61,34 @@ def test_ffn_binary_roundtrip_f32(tmp_path, rng):
 def test_bad_magic_rejected(tmp_path, rng):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(FormatError):
-        load_ffn(path)
+    with pytest.raises(FormatError, match="magic"):
+        load_toy_model(path)
+    # the same defect in the nested FFN container
+    raw = bytearray(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)))
+    assert raw[_NESTED:_NESTED + 4] == b"MFFN"
+    raw[_NESTED:_NESTED + 4] = b"NOPE"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="magic"):
+        load_toy_model(path)
 
 
 def test_unsupported_version_rejected(tmp_path, rng):
-    p = random_ffn(rng, 2, 2)
-    path = tmp_path / "ffn.bin"
-    save_ffn(path, p)
-    raw = bytearray(path.read_bytes())
-    raw[4] = 99  # version field
+    raw = bytearray(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)))
+    raw[_NESTED + 4] = 99  # the nested container's version field
+    path = tmp_path / "toy.ckpt"
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        load_ffn(path)
+    with pytest.raises(FormatError, match="version"):
+        load_toy_model(path)
 
 
 def test_truncated_payload_rejected(tmp_path, rng):
-    p = random_ffn(rng, 4, 8)
-    path = tmp_path / "ffn.bin"
-    save_ffn(path, p)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 16])
-    with pytest.raises(FormatError):
-        load_ffn(path)
-
-
-def test_ffn_trailing_bytes_rejected(tmp_path, rng):
-    path = tmp_path / "ffn.bin"
-    save_ffn(path, random_ffn(rng, 4, 8))
-    path.write_bytes(path.read_bytes() + b"junk")
-    with pytest.raises(FormatError, match="trailing"):
-        load_ffn(path)
+    # cut 16 bytes off the nested FFN payload and shrink the blob length to match
+    raw = _toy_bytes(tmp_path, init_toy_model(6, 12, seed=4))
+    (blob_len,) = struct.unpack("<Q", raw[_TOY_HEADER:_NESTED])
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(raw[:_TOY_HEADER] + struct.pack("<Q", blob_len - 16) + raw[_NESTED:-16])
+    with pytest.raises(FormatError, match="truncated container payload"):
+        load_toy_model(path)
 
 
 def test_moe_layer_roundtrip(tmp_path, rng):
@@ -114,16 +127,6 @@ def test_toy_model_roundtrip_moe(tmp_path):
     assert loaded.block.config == layer.config
     for a, b in zip(loaded.block.experts, layer.experts):
         _assert_ffn_equal(a, b)
-
-
-def _toy_bytes(tmp_path, model) -> bytes:
-    path = tmp_path / "src.ckpt"
-    save_toy_model(path, model)
-    return path.read_bytes()
-
-
-# magic, four u32s, f64 input/head weights and biases of a 6-dim toy model
-_TOY_HEADER = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)
 
 
 def test_toy_model_trailing_bytes_rejected(tmp_path):
@@ -186,9 +189,9 @@ def test_toy_model_nested_dtype_mismatch_rejected(tmp_path, rng, kind):
     # an f64 toy model holding an f32 block would run in mixed precision
     outer = init_toy_model(6, 12, seed=4)
     if kind == "dense":
-        block = random_ffn(rng, 6, 12).astype(np.float32)
+        block = random_ffn(rng, 6, 12, dtype=np.float32)
     else:
-        block = expand_supernet(random_ffn(rng, 6, 12).astype(np.float32),
+        block = expand_supernet(random_ffn(rng, 6, 12, dtype=np.float32),
                                 MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
     path = tmp_path / "toy.ckpt"
     save_toy_model(path, ToyModel(outer.input_w, outer.input_b, block, outer.head_w, outer.head_b))
@@ -203,7 +206,7 @@ def test_nested_moe_invalid_config_rejected(tmp_path):
                                                   dense.head_w, dense.head_b)))
     # the nested MMOE header: magic, then u32 version, dtype, activation,
     # token_dim, hidden_dim, n_replicas, granularity
-    granularity_at = _TOY_HEADER + 8 + 4 + 6 * 4
+    granularity_at = _NESTED + 4 + 6 * 4
     assert struct.unpack("<I", raw[granularity_at:granularity_at + 4]) == (2,)
     raw[granularity_at:granularity_at + 4] = struct.pack("<I", 0)
     path = tmp_path / "toy.ckpt"
