@@ -52,9 +52,8 @@ def co_selection(trace: RoutingTrace, normalize: str = "max") -> CoSelectionMatr
 
     normalize="max" divides by the largest pair count (heat-map semantics,
     the default); normalize="tokens" divides by the token count instead.
+    With top_k < 2 no pairs exist and the matrix is zero.
     """
-    if trace.top_k < 2:
-        raise ValueError(f"co_selection: needs top_k >= 2, got {trace.top_k}")
     if normalize not in ("max", "tokens"):
         raise ValueError(f"co_selection: unknown normalization {normalize!r}")
     n = trace.n_experts

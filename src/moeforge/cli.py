@@ -49,7 +49,15 @@ from .harness import (
 )
 from .moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, load_balance_loss, split_ffn
 from .numkernel import KERNEL, STREAM_BENCH, make_rng
-from .serialize import FormatError, load_toy_model, read_trace_jsonl, save_toy_model, write_trace_jsonl
+from .serialize import (
+    FormatError,
+    load_toy_model,
+    read_labels_csv,
+    read_trace_jsonl,
+    save_toy_model,
+    write_labels_csv,
+    write_trace_jsonl,
+)
 
 ENV_THREADS = "MOEFORGE_THREADS"
 
@@ -202,13 +210,6 @@ def _write_curves_csv(path, curves: list[dict]) -> None:
             f.write(",".join(repr(row[c]) if c != "step" else str(row[c]) for c in columns) + "\n")
 
 
-def _write_labels_csv(path, labels) -> None:
-    with open(path, "w") as f:
-        f.write("token_id,label\n")
-        for t, lab in enumerate(labels):
-            f.write(f"{t},{int(lab)}\n")
-
-
 def _build_task_and_train(cfg: dict, args, stage: str):
     dtype = _dtype_of(args)
     task = make_task(
@@ -298,7 +299,7 @@ def cmd_tune(args) -> int:
     _write_curves_csv(out / "curves.csv", result.curves)
     write_summary_json(out / "metrics.json", result.metrics)
     write_trace_jsonl(out / "trace.jsonl", result.final_eval.trace)
-    _write_labels_csv(out / "labels.csv", result.final_eval.labels)
+    write_labels_csv(out / "labels.csv", result.final_eval.labels)
     write_matrix_csv(out / "coselection.csv", result.coselection)
     write_loading_csv(out / "loading.csv", expert_loading(result.final_eval.trace))
     print(f"tune done: base mse {result.metrics['base_mse']:.6g} -> "
@@ -333,15 +334,7 @@ def cmd_analyze(args) -> int:
     loading = expert_loading(trace)
     nmi = None
     if args.labels:
-        labels = []
-        with open(args.labels) as f:
-            header = f.readline()
-            if header.strip() != "token_id,label":
-                raise ConfigError(f"{args.labels}: expected header 'token_id,label'")
-            for line in f:
-                if line.strip():
-                    labels.append(int(line.split(",")[1]))
-        nmi = pattern_specialization(trace, np.array(labels))
+        nmi = pattern_specialization(trace, read_labels_csv(args.labels, trace.n_tokens))
     matrix = co_selection(trace, normalize=args.normalize)
     coselection_path = out / "coselection.csv"
     write_matrix_csv(coselection_path, matrix)

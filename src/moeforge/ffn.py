@@ -8,6 +8,7 @@ backward works on batches only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,18 @@ from .numkernel import ShapeError, activation_pair, ensure_finite, mm
 
 @dataclass
 class FfnParams:
-    """Weights of one FFN: w1 (hidden, dim), b1 (hidden,), w2 (dim, hidden), b2 (dim,)."""
+    """Weights of one FFN, or of a stack of equally shaped FFNs.
+
+    One FFN holds w1 (hidden, dim), b1 (hidden,), w2 (dim, hidden) and
+    b2 (dim,). A stack of E FFNs puts one leading axis on all four: w1
+    (E, hidden, dim), b1 (E, hidden), w2 (E, dim, hidden), b2 (E, dim), with
+    one activation. ``stack[e]`` is FFN e as a view that shares the stack's
+    memory, so writing to it writes to the stack; it is not validated again,
+    because the stack was validated when it was built. The functions that
+    evaluate, differentiate, split or serialize an FFN take one FFN and
+    reject a stack with ``ShapeError`` (evaluation through :func:`mm`, which
+    takes 2-D operands only).
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -30,23 +42,42 @@ class FfnParams:
         self.b1 = np.asarray(self.b1)
         self.w2 = np.asarray(self.w2)
         self.b2 = np.asarray(self.b2)
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.b1.ndim != 1 or self.b2.ndim != 1:
-            raise ShapeError("FfnParams", self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape)
-        hidden, dim = self.w1.shape
-        if hidden < 1 or dim < 1:
-            raise ShapeError("FfnParams", self.w1.shape)
-        if self.b1.shape != (hidden,) or self.w2.shape != (dim, hidden) or self.b2.shape != (dim,):
-            raise ShapeError("FfnParams", self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape)
+        shapes = (self.w1.shape, self.b1.shape, self.w2.shape, self.b2.shape)
+        if self.w1.ndim not in (2, 3) or 0 in self.w1.shape:
+            raise ShapeError("FfnParams", *shapes)
+        *lead, hidden, dim = self.w1.shape
+        if shapes[1:] != ((*lead, hidden), (*lead, dim, hidden), (*lead, dim)):
+            raise ShapeError("FfnParams", *shapes)
         activation_pair(self.activation)
         ensure_finite("FfnParams", self.w1, self.b1, self.w2, self.b2)
 
     @property
     def token_dim(self) -> int:
-        return self.w1.shape[1]
+        return self.w1.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
+        return self.w1.shape[-2]
+
+    def __len__(self) -> int:
+        """Number of FFNs in a stack."""
+        if self.w1.ndim != 3:
+            raise ShapeError("len(FfnParams)", self.w1.shape)
         return self.w1.shape[0]
+
+    def __getitem__(self, e) -> "FfnParams":
+        """FFN e of a stack, or a sub-stack for a slice; a view either way."""
+        if self.w1.ndim != 3:
+            raise ShapeError("FfnParams[e]", self.w1.shape)
+        if not isinstance(e, slice):
+            e = operator.index(e)
+        view = object.__new__(FfnParams)
+        view.w1, view.b1, view.w2, view.b2 = self.w1[e], self.b1[e], self.w2[e], self.b2[e]
+        view.activation = self.activation
+        return view
+
+    def __iter__(self):
+        return (self[e] for e in range(len(self)))
 
     def copy(self) -> "FfnParams":
         return FfnParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.activation)

@@ -52,6 +52,9 @@ from .numkernel import (
 STAGE_PRETRAIN = "pretrain"
 STAGE_MOE_TUNE = "moe-tune"
 
+# A batch or probe loss above this aborts training as diverged.
+DIVERGENCE_LIMIT = 1e6
+
 
 class DivergenceError(RuntimeError):
     """Training loss exploded or went non-finite; the run is aborted."""
@@ -203,7 +206,6 @@ class TrainConfig:
     probe_tokens: int = 512
     threads: int = 1
     seed: int = 0
-    divergence_limit: float = 1e6
     identity_tol: float = 1e-9
 
     def __post_init__(self):
@@ -265,9 +267,10 @@ def _ffn_named(prefix: str, p: FfnParams | FfnGrads) -> list[tuple[str, np.ndarr
 def _parameters(model: ToyModel):
     """Yield (name, part, array) for every array training can update.
 
-    The order is fixed: the dense block or the experts in index order, then
-    the router, the head and the input map. ``part`` picks the learning rate
-    and the trainable flag, and it is the gradcheck group.
+    The order is fixed: the dense block or the experts in index order (views
+    into the expert stack), then the router, the head and the input map.
+    ``part`` picks the learning rate and the trainable flag, and it is the
+    gradcheck group.
     """
     if model.kind == "dense":
         for name, a in _ffn_named("block", model.block):
@@ -365,11 +368,11 @@ def _apply_updates(model: ToyModel, grads: dict, cfg: TrainConfig, opt) -> None:
             opt.step(name, param, grads[name], lr[part])
 
 
-def _check_curve_value(label: str, value: float, step: int, cfg: TrainConfig) -> None:
+def _check_curve_value(label: str, value: float, step: int) -> None:
     if not math.isfinite(value):
         raise DivergenceError(f"{label} became non-finite at step {step}")
-    if value > cfg.divergence_limit:
-        raise DivergenceError(f"{label} {value:.4g} exceeded {cfg.divergence_limit:.4g} at step {step}")
+    if value > DIVERGENCE_LIMIT:
+        raise DivergenceError(f"{label} {value:.4g} exceeded {DIVERGENCE_LIMIT:.4g} at step {step}")
 
 
 def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
@@ -397,11 +400,10 @@ def _train_loop(task, model, cfg: TrainConfig, with_aux: bool):
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
         grads, mse, aux, _ = _collect_grads(model, tokens, targets, cfg.alpha, cfg.threads)
-        _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha) if with_aux else mse,
-                           step, cfg)
+        _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha) if with_aux else mse, step)
         _apply_updates(model, grads, cfg, opt)
         probe = _probe_loss(model, probe_tokens, probe_targets, cfg.threads)
-        _check_curve_value("probe loss", probe, step, cfg)
+        _check_curve_value("probe loss", probe, step)
         best = min(best, probe)
         row = {"step": step, "batch_mse": mse, "probe_mse": probe, "probe_mse_smoothed": best}
         if with_aux:
@@ -446,8 +448,7 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
         )
     curves = _train_loop(task, model, cfg, with_aux=True)
     final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
-    matrix = co_selection(final_eval.trace) if moe_cfg.top_k >= 2 else CoSelectionMatrix(
-        np.zeros((moe_cfg.n_experts, moe_cfg.n_experts)))
+    matrix = co_selection(final_eval.trace)
     nmi = pattern_specialization(final_eval.trace, final_eval.labels)
     shuffled = make_rng(cfg.seed, STREAM_SHUFFLE).permutation(final_eval.labels)
     loading = assignment_fractions(final_eval.trace)

@@ -4,10 +4,10 @@ The pieces, in the order a layer comes to life:
 
 * :func:`split_ffn` slices one FFN's hidden dimension into ``granularity``
   smaller experts whose outputs sum back to the parent's output exactly
-  (in real arithmetic; to ~1e-12 in float64).
-* :func:`expand_supernet` deep-copies the base FFN ``n_replicas`` times,
-  splits every copy, and lays experts out replica-major
-  (expert index = replica * granularity + slice).
+  (in real arithmetic; to ~1e-12 in float64). The experts come back as one
+  stacked :class:`~moeforge.ffn.FfnParams`: the slicing is a reshape.
+* :func:`expand_supernet` lays ``n_replicas`` copies of that split into one
+  stack, replica-major (expert index = replica * granularity + slice).
 * :func:`init_router` draws one centroid row per replica and repeats it
   ``granularity`` times, so at step 0 the top-k selection lands on the k
   slices of a single replica and the layer reproduces the base FFN.
@@ -149,55 +149,56 @@ class RoutingTrace:
 
 @dataclass
 class MoeLayer:
-    """The supernet: config, replica-major expert list, router.
+    """The supernet: config, replica-major expert stack, router.
 
-    A fine-grained expert is structurally an FFN with hidden width H/k.
+    ``experts`` is one stacked FfnParams of n_experts FFNs with hidden width
+    H/k; ``experts[e]`` is expert e, a view into the stack.
     """
 
     config: MoeConfig
-    experts: list[FfnParams]
+    experts: FfnParams
     router: RouterParams
 
     def __post_init__(self):
         cfg = self.config
-        if len(self.experts) != cfg.n_experts:
-            raise ValueError(f"MoeLayer: expected {cfg.n_experts} experts, got {len(self.experts)}")
-        for e in self.experts:
-            if e.token_dim != cfg.token_dim or e.hidden_dim != cfg.expert_hidden_dim:
-                raise ShapeError("MoeLayer", e.w1.shape, (cfg.expert_hidden_dim, cfg.token_dim))
-            if e.activation != self.experts[0].activation:
-                raise ValueError("MoeLayer: experts must share one activation")
+        want = (cfg.n_experts, cfg.expert_hidden_dim, cfg.token_dim)
+        if self.experts.w1.shape != want:
+            raise ShapeError("MoeLayer", self.experts.w1.shape, want)
         if self.router.w_r.shape != (cfg.n_experts, cfg.token_dim):
             raise ShapeError("MoeLayer", self.router.w_r.shape, (cfg.n_experts, cfg.token_dim))
 
     def copy(self) -> "MoeLayer":
-        return MoeLayer(self.config, [e.copy() for e in self.experts], self.router.copy())
+        return MoeLayer(self.config, self.experts.copy(), self.router.copy())
 
 
-def split_ffn(p: FfnParams, granularity: int) -> list[FfnParams]:
-    """Slice one FFN into `granularity` experts whose outputs sum to p's output.
+def _split_stack(p: FfnParams, granularity: int, replicas: int) -> FfnParams:
+    """``replicas`` copies of p's ``granularity``-way split, as one stack.
 
-    Expert j takes rows [j*H/k, (j+1)*H/k) of w1/b1, the matching columns of
-    w2, and b2 / k.
+    Each array is one fresh allocation, filled from reshaped views of p.
     """
+    if p.w1.ndim != 2:
+        raise ShapeError("split_ffn", p.w1.shape)
     if granularity < 1:
         raise ValueError(f"split_ffn: granularity must be >= 1, got {granularity}")
     if p.hidden_dim % granularity != 0:
-        raise ValueError(
-            f"split_ffn: hidden_dim {p.hidden_dim} not divisible by granularity {granularity}"
-        )
-    width = p.hidden_dim // granularity
-    experts = []
-    for j in range(granularity):
-        rows = slice(j * width, (j + 1) * width)
-        experts.append(FfnParams(
-            p.w1[rows].copy(),
-            p.b1[rows].copy(),
-            p.w2[:, rows].copy(),
-            p.b2 / granularity,
-            p.activation,
-        ))
-    return experts
+        raise ValueError(f"split_ffn: hidden_dim {p.hidden_dim} not divisible by granularity {granularity}")
+    width, dim = p.hidden_dim // granularity, p.token_dim
+    parts = (p.w1.reshape(granularity, width, dim),
+             p.b1.reshape(granularity, width),
+             p.w2.reshape(dim, granularity, width).transpose(1, 0, 2),
+             np.broadcast_to(p.b2 / granularity, (granularity, dim)))
+    n = replicas * granularity
+    stacks = (np.array(np.broadcast_to(a, (replicas,) + a.shape), order="C") for a in parts)
+    return FfnParams(*(a.reshape((n,) + a.shape[2:]) for a in stacks), p.activation)
+
+
+def split_ffn(p: FfnParams, granularity: int) -> FfnParams:
+    """Slice one FFN into a stack of `granularity` experts whose outputs sum to p's output.
+
+    Expert j takes rows [j*H/k, (j+1)*H/k) of w1/b1, the matching columns of
+    w2, and b2 / k. The stack holds copies: training it leaves p unchanged.
+    """
+    return _split_stack(p, granularity, 1)
 
 
 def init_router(cfg: MoeConfig, rng: np.random.Generator, dtype=np.float64) -> RouterParams:
@@ -214,12 +215,10 @@ def init_router(cfg: MoeConfig, rng: np.random.Generator, dtype=np.float64) -> R
 
 
 def expand_supernet(base: FfnParams, cfg: MoeConfig) -> MoeLayer:
-    """Replicate the base FFN n_replicas times, split each copy, attach a grouped router."""
-    if base.token_dim != cfg.token_dim or base.hidden_dim != cfg.hidden_dim:
+    """Stack n_replicas copies of the base FFN's split, attach a grouped router."""
+    if base.w1.shape != (cfg.hidden_dim, cfg.token_dim):
         raise ShapeError("expand_supernet", base.w1.shape, (cfg.hidden_dim, cfg.token_dim))
-    experts: list[FfnParams] = []
-    for _ in range(cfg.n_replicas):
-        experts.extend(split_ffn(base, cfg.granularity))
+    experts = _split_stack(base, cfg.granularity, cfg.n_replicas)
     router = init_router(cfg, make_rng(cfg.seed, STREAM_ROUTER), dtype=base.w1.dtype)
     return MoeLayer(cfg, experts, router)
 
@@ -299,7 +298,7 @@ def moe_forward(layer: MoeLayer, x: np.ndarray):
         raise ShapeError("moe_forward", x.shape, (cfg.token_dim,))
     scores = route(layer.router, x)
     gate = top_k_gate(scores, cfg.top_k)
-    out = np.zeros(cfg.token_dim, dtype=np.result_type(x, layer.experts[0].w1))
+    out = np.zeros(cfg.token_dim, dtype=np.result_type(x, layer.experts.w1))
     for i in gate.selected:
         out += ffn_forward(layer.experts[i], x)
     return out, gate
@@ -318,7 +317,7 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     if tokens.ndim != 2 or tokens.shape[1] != cfg.token_dim:
         raise ShapeError("dispatch_loop", tokens.shape, (cfg.token_dim,))
     n = tokens.shape[0]
-    out = np.empty((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
+    out = np.empty((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
     scores = np.empty((n, cfg.n_experts), dtype=np.result_type(tokens, layer.router.w_r, layer.router.b_r))
     selected = np.empty((n, cfg.top_k), dtype=np.int64)
     for t in range(n):
@@ -408,7 +407,7 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     trace = RoutingTrace(cfg.top_k, scores, selected)
 
     groups = group_by_expert(selected, cfg.n_experts)
-    out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts[0].w1))
+    out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
 
     def eval_expert(item: tuple[int, np.ndarray]) -> np.ndarray:
         e, idx = item

@@ -15,7 +15,8 @@ MoE layer container, magic ``MMOE`` version 1::
     magic[4] | u32 version | u32 dtype | u32 activation
     | u32 token_dim | u32 hidden_dim | u32 n_replicas | u32 granularity
     | u32 top_k | u64 seed
-    | experts in index order, each (w1 | b1 | w2 | b2) at width hidden/granularity
+    | experts in index order, each (w1 | b1 | w2 | b2) at width hidden/granularity,
+      i.e. one (n_experts, 2*width*dim + width + dim) block
     | w_r (n_experts*dim) | b_r (n_experts)
 
 Toy model container, magic ``MTOY`` version 1::
@@ -28,19 +29,23 @@ The nested container fills its blob exactly, shares the outer token_dim and
 dtype, and ends the file. No container may be followed by stray bytes.
 
 Routing traces export as JSON lines, one record per token:
-``{"token_id": t, "selected": [...], "scores": [...]}``.
+``{"token_id": t, "selected": [...], "scores": [...]}``. Token labels export
+as a ``token_id,label`` CSV. The readers of both reject any defect with a
+``FormatError`` naming the file and line.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
 
 from .ffn import FfnParams
 from .moe import MoeConfig, MoeLayer, RouterParams, RoutingTrace
+from .numkernel import ShapeError
 
 MAGIC_FFN = b"MFFN"
 MAGIC_MOE = b"MMOE"
@@ -103,6 +108,8 @@ def _expect_magic(f, magic: bytes) -> None:
 
 
 def _dump_ffn(f, p: FfnParams) -> None:
+    if p.w1.ndim != 2:
+        raise ShapeError("_dump_ffn", p.w1.shape)
     dtype = np.dtype(p.w1.dtype).newbyteorder("<")
     f.write(MAGIC_FFN)
     _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), _activation_code(p.activation),
@@ -125,15 +132,14 @@ def _parse_ffn(f) -> FfnParams:
 
 
 def _dump_moe(f, layer: MoeLayer) -> None:
-    cfg = layer.config
-    dtype = np.dtype(layer.experts[0].w1.dtype).newbyteorder("<")
+    cfg, ex = layer.config, layer.experts
+    dtype = np.dtype(ex.w1.dtype).newbyteorder("<")
     f.write(MAGIC_MOE)
-    _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), _activation_code(layer.experts[0].activation),
+    _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), _activation_code(ex.activation),
                cfg.token_dim, cfg.hidden_dim, cfg.n_replicas, cfg.granularity, cfg.top_k)
     f.write(struct.pack("<Q", cfg.seed))
-    for e in layer.experts:
-        for a in (e.w1, e.b1, e.w2, e.b2):
-            _write_array(f, a, dtype)
+    n = cfg.n_experts
+    _write_array(f, np.concatenate([ex.w1.reshape(n, -1), ex.b1, ex.w2.reshape(n, -1), ex.b2], axis=1), dtype)
     _write_array(f, layer.router.w_r, dtype)
     _write_array(f, layer.router.b_r, dtype)
 
@@ -154,14 +160,10 @@ def _parse_moe(f) -> MoeLayer:
                         granularity=granularity, top_k=top_k, seed=seed)
     except ValueError as e:
         raise FormatError(f"invalid MMOE header: {e}") from None
-    width = cfg.expert_hidden_dim
-    experts = []
-    for _ in range(cfg.n_experts):
-        w1 = _read_array(f, (width, dim), dtype)
-        b1 = _read_array(f, (width,), dtype)
-        w2 = _read_array(f, (dim, width), dtype)
-        b2 = _read_array(f, (dim,), dtype)
-        experts.append(FfnParams(w1, b1, w2, b2, activation))
+    n, width = cfg.n_experts, cfg.expert_hidden_dim
+    rows = _read_array(f, (n, 2 * width * dim + width + dim), dtype)
+    w1, b1, w2, b2 = (a.copy() for a in np.split(rows, np.cumsum([width * dim, width, dim * width]), axis=1))
+    experts = FfnParams(w1.reshape(n, width, dim), b1, w2.reshape(n, dim, width), b2, activation)
     w_r = _read_array(f, (cfg.n_experts, dim), dtype)
     b_r = _read_array(f, (cfg.n_experts,), dtype)
     return MoeLayer(cfg, experts, RouterParams(w_r, b_r))
@@ -215,7 +217,7 @@ def load_toy_model(path):
         block_dim, block_dtype = block.token_dim, block.w1.dtype
     elif kind == 1:
         block = _parse_moe(inner)
-        block_dim, block_dtype = block.config.token_dim, block.experts[0].w1.dtype
+        block_dim, block_dtype = block.config.token_dim, block.experts.w1.dtype
     else:
         raise FormatError(f"unknown block kind {kind}")
     if inner.tell() != blob_len:
@@ -239,18 +241,100 @@ def write_trace_jsonl(path, trace: RoutingTrace) -> None:
             f.write("\n")
 
 
+def _trace_record(line: bytes, token_id: int, n_experts: int | None, top_k: int | None):
+    """(selected, scores) of one trace line; a defect raises FormatError naming it."""
+    try:
+        record = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise FormatError(f"invalid JSON: {e}") from None
+    if not isinstance(record, dict):
+        raise FormatError("record is not a JSON object")
+    for key in ("token_id", "selected", "scores"):
+        if key not in record:
+            raise FormatError(f"missing key {key!r}")
+    selected, scores = record["selected"], record["scores"]
+    if type(record["token_id"]) is not int or record["token_id"] != token_id:
+        raise FormatError(f"token_id {record['token_id']!r}, expected {token_id}")
+    if not isinstance(selected, list) or not all(type(i) is int for i in selected):
+        raise FormatError("selected is not a list of integers")
+    if not isinstance(scores, list) or not all(type(v) in (int, float) for v in scores):
+        raise FormatError("scores is not a list of numbers")
+    if n_experts is not None and (len(selected), len(scores)) != (top_k, n_experts):
+        raise FormatError(f"ragged row: {len(selected)} selected and {len(scores)} scores, "
+                          f"expected {top_k} and {n_experts}")
+    if not 1 <= len(selected) <= len(scores):
+        raise FormatError(f"{len(selected)} selected of {len(scores)} scores")
+    if any(b <= a for a, b in zip(selected, selected[1:])):
+        raise FormatError(f"selected {selected} does not ascend strictly")
+    if selected[0] < 0 or selected[-1] >= len(scores):
+        raise FormatError(f"selected {selected} out of range [0, {len(scores)})")
+    try:
+        row = np.array(scores, dtype=np.float64)
+    except OverflowError:
+        raise FormatError("scores out of float range") from None
+    if not (np.all(np.isfinite(row)) and np.all(row >= 0)):
+        raise FormatError("scores must be finite and non-negative")
+    if abs(math.fsum(row) - 1.0) > 1e-6:
+        raise FormatError(f"scores sum to {math.fsum(row)!r}, not 1 within 1e-6")
+    return selected, row
+
+
 def read_trace_jsonl(path) -> RoutingTrace:
+    """Read a trace written by :func:`write_trace_jsonl`.
+
+    Every record needs ``token_id`` (0, 1, ... in file order), ``selected``
+    (top_k strictly ascending expert indices) and ``scores`` (n_experts
+    finite, non-negative values summing to 1 within 1e-6), with the same
+    top_k and n_experts on every row. Blank lines are skipped. Any defect
+    raises ``FormatError("<path>:<line>: ...")``.
+    """
     selected = []
     scores = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            selected.append(record["selected"])
-            scores.append(record["scores"])
+            shape = (len(scores[0]), len(selected[0])) if scores else (None, None)
+            try:
+                sel, row = _trace_record(line, len(scores), *shape)
+            except FormatError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from None
+            selected.append(sel)
+            scores.append(row)
     if not scores:
-        raise FormatError("empty trace file")
-    top_k = len(selected[0])
-    return RoutingTrace(top_k, np.array(scores), np.array(selected, dtype=np.int64))
+        raise FormatError(f"{path}: empty trace file")
+    return RoutingTrace(len(selected[0]), np.array(scores), np.array(selected, dtype=np.int64))
+
+
+def write_labels_csv(path, labels) -> None:
+    """``token_id,label`` CSV: one row per token, token ids 0, 1, ... in order."""
+    with open(path, "w") as f:
+        f.write("token_id,label\n")
+        for t, lab in enumerate(labels):
+            f.write(f"{t},{int(lab)}\n")
+
+
+def read_labels_csv(path, n_tokens: int) -> np.ndarray:
+    """Labels of a trace's ``n_tokens`` tokens, from :func:`write_labels_csv`'s format.
+
+    The header, token ids 0..n_tokens-1 in order and exactly n_tokens rows
+    are required; blank lines are skipped. Any defect raises
+    ``FormatError("<path>:<line>: ...")``.
+    """
+    labels = []
+    with open(path, "rb") as f:
+        if f.readline().strip() != b"token_id,label":
+            raise FormatError(f"{path}:1: expected header 'token_id,label'")
+        for lineno, line in enumerate(f, 2):
+            if not line.strip():
+                continue
+            try:
+                token_id, label = map(int, line.split(b","))
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: expected two integers 'token_id,label'") from None
+            if token_id != len(labels):
+                raise FormatError(f"{path}:{lineno}: token_id {token_id}, expected {len(labels)}")
+            labels.append(label)
+    if len(labels) != n_tokens:
+        raise FormatError(f"{path}: {len(labels)} labels for a trace of {n_tokens} tokens")
+    return np.array(labels)

@@ -69,9 +69,11 @@ class TestCoSelection:
             assert np.array_equal(np.diag(m), np.zeros(cfg.n_experts))
             assert m.min() >= 0.0 and m.max() <= 1.0
 
-    def test_needs_pairs(self):
-        with pytest.raises(ValueError):
-            co_selection(_trace([[0], [1]], 4))
+    def test_top1_gives_zero_matrix(self):
+        # top-1 routing selects no pairs
+        for normalize in ("max", "tokens"):
+            m = co_selection(_trace([[0], [1], [1]], 4), normalize=normalize)
+            assert m.values.dtype == np.float64 and np.array_equal(m.values, np.zeros((4, 4)))
 
     def test_unknown_normalization(self):
         with pytest.raises(ValueError):

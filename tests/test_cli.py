@@ -246,6 +246,43 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("records, line", [
+        ([{"token_id": 0, "selected": [3, 3], "scores": [0.25] * 4}], 1),
+        ([{"token_id": 0, "selected": [1, 3], "scores": [float("nan")] + [0.25] * 3}], 1),
+        ([{"token_id": 0, "selected": [1, 3], "scores": [0.25] * 4},
+          {"token_id": 5, "selected": [1, 3], "scores": [0.25] * 4}], 2),
+        ([{"token_id": 0, "scores": [0.25] * 4}], 1),
+        (['{"token_id": 0,'], 1),
+    ])
+    def test_trace_defect_exits_2_naming_the_line(self, tmp_path, capsys, records, line):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join((r if isinstance(r, str) else json.dumps(r)) + "\n" for r in records))
+        assert main(["analyze", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {trace}:{line}: ")
+
+    @pytest.mark.parametrize("labels, where", [("token_id,label\n7,1\n3,0\n", ":2: "),
+                                               ("token_id,label\n0,1\n", ": ")])
+    def test_misaligned_labels_exit_2(self, tmp_path, capsys, labels, where):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps({"token_id": t, "selected": [t], "scores": [0.5, 0.5]}) + "\n"
+                                 for t in range(2)))
+        path = tmp_path / "labels.csv"
+        path.write_text(labels)
+        code = main(["analyze", "--trace", str(trace), "--labels", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path}{where}")
+
+    def test_top1_tune_trace_is_analyzed(self, tmp_path):
+        config = write_config(tmp_path, {"moe": {"granularity": 1, "top_k": 1}})
+        _, pre_dir, _ = run_pretrain(tmp_path, config=config)
+        tune_out = tmp_path / "tr"
+        assert main(["tune", "--config", str(config), "--base", str(pre_dir / "base.ckpt"),
+                     "--out", str(tune_out)]) == 0
+        out = tmp_path / "an"
+        assert main(["analyze", "--trace", str(tune_out / "trace.jsonl"),
+                     "--labels", str(tune_out / "labels.csv"), "--out", str(out)]) == 0
+        assert (out / "coselection.csv").read_bytes() == (tune_out / "coselection.csv").read_bytes()
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_groups(self, capsys):

@@ -109,11 +109,12 @@ def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=5, perturb=0.5)
     tokens = rng.normal(size=(97, cfg.token_dim)) * 100.0
     reference = dispatch_batch(layer, tokens, threads=1)
-    index = {id(p): e for e, p in enumerate(layer.experts)}
     real = moe.ffn_forward_batch
 
     def late_for_low_experts(p, x):
-        time.sleep(0.002 * (cfg.n_experts - index[id(p)]))
+        # p is a fresh view on every call: find its row of the expert stack
+        e = next(e for e in range(cfg.n_experts) if np.shares_memory(p.w1, layer.experts.w1[e]))
+        time.sleep(0.002 * (cfg.n_experts - e))
         return real(p, x)
 
     monkeypatch.setattr(moe, "ffn_forward_batch", late_for_low_experts)

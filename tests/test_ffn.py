@@ -157,3 +157,57 @@ def test_init_ffn_shapes(rng):
     p = init_ffn(5, 12, rng, "gelu", np.float32)
     assert p.token_dim == 5 and p.hidden_dim == 12
     assert p.w1.dtype == np.float32 and p.activation == "gelu"
+
+
+def test_stack_validation(rng):
+    w1, b1, w2, b2 = np.zeros((3, 6, 4)), np.zeros((3, 6)), np.zeros((3, 4, 6)), np.zeros((3, 4))
+    assert len(FfnParams(w1, b1, w2, b2)) == 3
+    with pytest.raises(ShapeError):  # leading dims disagree
+        FfnParams(w1, np.zeros((2, 6)), w2, b2)
+    with pytest.raises(ShapeError):
+        FfnParams(w1, b1, w2, np.zeros((2, 4)))
+    with pytest.raises(ShapeError):  # a stack of stacks
+        FfnParams(np.zeros((2, 3, 6, 4)), np.zeros((2, 3, 6)), np.zeros((2, 3, 4, 6)), np.zeros((2, 3, 4)))
+    with pytest.raises(ShapeError):  # an empty stack
+        FfnParams(np.zeros((0, 6, 4)), np.zeros((0, 6)), np.zeros((0, 4, 6)), np.zeros((0, 4)))
+    single = random_ffn(rng, 4, 6)
+    with pytest.raises(ShapeError):
+        len(single)
+    with pytest.raises(ShapeError):
+        single[0]
+
+
+def test_stack_views_write_through(rng):
+    from moeforge.moe import MoeConfig, expand_supernet
+
+    layer = expand_supernet(random_ffn(rng, 4, 6), MoeConfig(token_dim=4, hidden_dim=6,
+                                                             n_replicas=2, granularity=3))
+    stack = layer.experts
+    for e, view in enumerate(stack):
+        for a, rows in ((view.w1, stack.w1), (view.b1, stack.b1), (view.w2, stack.w2), (view.b2, stack.b2)):
+            assert np.shares_memory(a, rows[e]) and a.shape == rows.shape[1:]
+    layer.experts[4].w1[1, 2] = 7.0
+    layer.experts[4].b2 += 1.0
+    assert stack.w1[4, 1, 2] == 7.0 and np.array_equal(stack.b2[4], layer.experts[4].b2)
+    assert layer.experts[-1].activation == stack.activation
+
+
+def test_stack_rejected_where_one_ffn_expected(rng):
+    import io
+
+    from moeforge.moe import MoeConfig, expand_supernet, split_ffn
+    from moeforge.serialize import _dump_ffn
+
+    stack = split_ffn(random_ffn(rng, 4, 6), 2)
+    x = rng.normal(size=(5, 4))
+    calls = [
+        lambda: ffn_forward_batch(stack, x),
+        lambda: ffn_forward(stack, x[0]),
+        lambda: ffn_backward_batch(stack, x, x),
+        lambda: _dump_ffn(io.BytesIO(), stack),
+        lambda: split_ffn(stack, 1),
+        lambda: expand_supernet(stack, MoeConfig(token_dim=4, hidden_dim=3, n_replicas=1, granularity=1)),
+    ]
+    for call in calls:
+        with pytest.raises(ShapeError):
+            call()

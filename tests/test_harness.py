@@ -386,11 +386,9 @@ class TestGradcheck:
 
 
 def _arrays_held(obj):
-    """Every ndarray reachable through the dataclass fields and lists of obj."""
+    """Every ndarray reachable through the dataclass fields of obj."""
     if isinstance(obj, np.ndarray):
         return [obj]
-    if isinstance(obj, list):
-        return [a for item in obj for a in _arrays_held(item)]
     if dataclasses.is_dataclass(obj):
         return [a for f in dataclasses.fields(obj) for a in _arrays_held(getattr(obj, f.name))]
     return []
@@ -407,10 +405,16 @@ class TestParameterTable:
             model = ToyModel(model.input_w, model.input_b, layer, model.head_w, model.head_b)
         held = _arrays_held(model)
         table = [a for _, _, a in _parameters(model)]
-        # four FFN arrays per block or expert, two router arrays, four head and map arrays
-        assert len(held) == (4 + 4 if kind == "dense" else 4 * small_moe_cfg().n_experts + 2 + 4)
-        assert len(table) == len(held)
-        assert {id(a) for a in table} == {id(a) for a in held}
+        # four FFN arrays (one FFN or one stack), two router arrays, four head and map arrays;
+        # the table names each expert's four arrays, as views into the stack
+        assert len(held) == (4 + 4 if kind == "dense" else 4 + 2 + 4)
+        assert len(table) == (4 + 4 if kind == "dense" else 4 * small_moe_cfg().n_experts + 2 + 4)
+        # the table's arrays write through to every held element exactly once
+        for a in held:
+            a[...] = 0
+        for a in table:
+            a += 1
+        assert all(np.all(a == 1) for a in held)
         names = [name for name, _, _ in _parameters(model)]
         assert len(set(names)) == len(names)
 

@@ -98,6 +98,22 @@ class TestSplitFfn:
         e0.w1[0, 0] += 1.0
         assert p.w1[0, 0] != e0.w1[0, 0]
 
+    def test_stack_is_a_reshape(self, rng):
+        # expert j is rows j*w..(j+1)*w of w1/b1, those columns of w2, b2 / k
+        p = random_ffn(rng, 5, 12)
+        stack = split_ffn(p, 3)
+        assert stack.w1.shape == (3, 4, 5) and stack.w2.shape == (3, 5, 4)
+        for j in range(3):
+            rows = slice(4 * j, 4 * j + 4)
+            assert np.array_equal(stack.w1[j], p.w1[rows]) and np.array_equal(stack.b1[j], p.b1[rows])
+            assert np.array_equal(stack.w2[j], p.w2[:, rows]) and np.array_equal(stack.b2[j], p.b2 / 3)
+        layer = expand_supernet(p, MoeConfig(token_dim=5, hidden_dim=12, n_replicas=2, granularity=3))
+        ex = layer.experts
+        for a, b in zip((stack.w1, stack.b1, stack.w2, stack.b2), (ex.w1, ex.b1, ex.w2, ex.b2)):
+            assert a.flags.c_contiguous and b.flags.c_contiguous
+            assert np.array_equal(b, np.concatenate([a, a]))
+            assert not any(np.shares_memory(x, y) for x in (a, b) for y in (p.w1, p.b1, p.w2, p.b2))
+
 
 class TestExpandSupernet:
     def test_degenerate_single_expert(self, rng):

@@ -1,16 +1,24 @@
+import io
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeforge.harness import ToyModel, init_toy_model
 from moeforge.moe import MoeConfig, dispatch_batch, expand_supernet
+from moeforge.moe import RoutingTrace
 from moeforge.serialize import (
     FormatError,
+    _dump_moe,
     load_toy_model,
+    read_labels_csv,
     read_trace_jsonl,
     save_toy_model,
+    write_labels_csv,
     write_trace_jsonl,
 )
 
@@ -213,3 +221,139 @@ def test_nested_moe_invalid_config_rejected(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="granularity"):
         load_toy_model(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_moe_container_layout(rng, dtype):
+    # header, then each expert's w1|b1|w2|b2 in index order, then the router
+    layer = expand_supernet(random_ffn(rng, 5, 8, dtype=dtype),
+                            MoeConfig(token_dim=5, hidden_dim=8, n_replicas=3, granularity=2, seed=7))
+    layer.experts.w1 += rng.normal(size=layer.experts.w1.shape).astype(dtype)
+    cfg = layer.config
+    f = io.BytesIO()
+    _dump_moe(f, layer)
+    header = struct.pack("<4s8IQ", b"MMOE", 1, 0 if dtype == np.float64 else 1, 0, cfg.token_dim,
+                         cfg.hidden_dim, cfg.n_replicas, cfg.granularity, cfg.top_k, cfg.seed)
+    experts = b"".join(a.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+                       for e in range(cfg.n_experts)
+                       for a in (layer.experts.w1[e], layer.experts.b1[e],
+                                 layer.experts.w2[e], layer.experts.b2[e]))
+    assert f.getvalue() == header + experts + layer.router.w_r.tobytes() + layer.router.b_r.tobytes()
+
+
+_GOOD_RECORD = {"token_id": 0, "selected": [1, 3], "scores": [0.25, 0.25, 0.25, 0.25]}
+
+
+def _second(**changes):
+    record = {**_GOOD_RECORD, "token_id": 1, **changes}
+    return json.dumps({k: v for k, v in record.items() if v is not None})
+
+
+@pytest.mark.parametrize("line, defect", [
+    ('{"token_id": 1, "selected": [1, 3],', "invalid JSON"),
+    ("[1, 3]", "not a JSON object"),
+    (_second(selected=None), "missing key 'selected'"),
+    (_second(scores=None), "missing key 'scores'"),
+    (_second(selected=[0, 1, 3]), "ragged row"),
+    (_second(scores=[0.2] * 5), "ragged row"),
+    (_second(token_id=5), "token_id 5, expected 1"),
+    (_second(token_id="1"), "token_id '1', expected 1"),
+    (_second(selected=[3, 3]), "does not ascend strictly"),
+    (_second(selected=[3, 1]), "does not ascend strictly"),
+    (_second(selected=[1, 4]), "out of range"),
+    (_second(selected=[-1, 1]), "out of range"),
+    (_second(selected=[1.0, 3.0]), "not a list of integers"),
+    (_second(scores=["0.25"] * 4), "not a list of numbers"),
+    (_second(scores=[float("nan"), 0.25, 0.25, 0.25]), "finite"),
+    (_second(scores=[float("inf"), 0.25, 0.25, 0.25]), "finite"),
+    (_second(scores=[-0.25, 0.75, 0.25, 0.25]), "non-negative"),
+    (_second(scores=[0.25, 0.25, 0.25, 0.2501]), "not 1 within 1e-6"),
+])
+def test_trace_defect_names_file_and_line(tmp_path, line, defect):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(_GOOD_RECORD) + "\n\n" + line + "\n")
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:3: .*{re.escape(defect)}"):
+        read_trace_jsonl(path)
+
+
+def test_trace_first_row_defects(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    for record, defect in (({"token_id": 1, "selected": [0], "scores": [1.0]}, "token_id 1, expected 0"),
+                           ({"token_id": 0, "selected": [], "scores": [1.0]}, "0 selected of 1")):
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match=rf":1: {defect}"):
+            read_trace_jsonl(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10)
+# records that are often valid, and records with any subset of the keys holding anything
+_RECORD = st.fixed_dictionaries({
+    "token_id": st.integers(0, 1),
+    "selected": st.sampled_from([[0, 2], [1, 3], [2, 2], [3], [0, 4]]),
+    "scores": st.sampled_from([[0.25] * 4, [0.5, 0.0, 0.5, 0.0], [1.0, 0.0], [0.5, -0.5, 1.0, 0.0]]),
+}) | st.fixed_dictionaries({}, optional={
+    "token_id": st.integers(-1, 2) | _JSON,
+    "selected": st.lists(st.integers(-1, 4), max_size=4) | _JSON,
+    "scores": st.lists(st.floats(), max_size=5) | _JSON,
+})
+_LINE = st.one_of(_RECORD.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20),
+                  st.binary(max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=4))
+def test_any_jsonl_gives_trace_or_format_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "any.jsonl"
+    path.write_bytes(b"\n".join(x if isinstance(x, bytes) else x.encode("utf-8", "surrogatepass")
+                                for x in lines))
+    try:
+        trace = read_trace_jsonl(path)
+    except FormatError:
+        return
+    assert isinstance(trace, RoutingTrace) and trace.n_tokens >= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trace_write_read_roundtrip(tmp_path_factory, data):
+    n_experts = data.draw(st.integers(1, 6))
+    top_k = data.draw(st.integers(1, n_experts))
+    n_tokens = data.draw(st.integers(1, 5))
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=n_tokens * n_experts,
+                                      max_size=n_tokens * n_experts))).reshape(n_tokens, n_experts)
+    rows = [sorted(data.draw(st.lists(st.integers(0, n_experts - 1), min_size=top_k, max_size=top_k,
+                                      unique=True))) for _ in range(n_tokens)]
+    trace = RoutingTrace(top_k, raw / raw.sum(axis=1, keepdims=True), np.array(rows))
+    path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
+    write_trace_jsonl(path, trace)
+    written = path.read_bytes()
+    loaded = read_trace_jsonl(path)
+    assert np.array_equal(loaded.scores, trace.scores) and np.array_equal(loaded.selected, trace.selected)
+    write_trace_jsonl(path, loaded)
+    assert path.read_bytes() == written
+
+
+def test_labels_csv_roundtrip(tmp_path):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, np.array([2, 0, 1]))
+    assert path.read_text() == "token_id,label\n0,2\n1,0\n2,1\n"
+    assert read_labels_csv(path, 3).tolist() == [2, 0, 1]
+
+
+@pytest.mark.parametrize("text, defect", [
+    ("token,label\n0,1\n1,0\n", ":1: expected header"),
+    ("token_id,label\n7,1\n3,0\n", ":2: token_id 7, expected 0"),
+    ("token_id,label\n0,1\n0,0\n", ":3: token_id 0, expected 1"),
+    ("token_id,label\n0,1\n1,x\n", ":3: expected two integers"),
+    ("token_id,label\n0,1\n1,0,4\n", ":3: expected two integers"),
+    ("token_id,label\n0,1\n", ": 1 labels for a trace of 2 tokens"),
+    ("token_id,label\n0,1\n1,0\n2,0\n", ": 3 labels for a trace of 2 tokens"),
+])
+def test_labels_defect_rejected(tmp_path, text, defect):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path) + defect)}"):
+        read_labels_csv(path, 2)
