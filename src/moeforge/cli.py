@@ -7,7 +7,9 @@ numpy and BLAS versions under it, so a run is reproducible from its manifest
 alone. Commands never mutate their input files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
-3 divergence, 4 step-0 identity violation, 5 gradcheck failure. The bench
+3 divergence, 4 step-0 identity violation, 5 gradcheck failure, 6 internal
+error (a ``ShapeError`` from inside the package: operands that do not line
+up although every input passed its checks, a bug to report). The bench
 command exits 1 if the batched and looped dispatch paths disagree.
 """
 
@@ -48,7 +50,7 @@ from .harness import (
     run_gradcheck,
 )
 from .moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, load_balance_loss, split_ffn
-from .numkernel import KERNEL, STREAM_BENCH, make_rng
+from .numkernel import KERNEL, STREAM_BENCH, ShapeError, make_rng
 from .serialize import (
     FormatError,
     load_toy_model,
@@ -103,6 +105,9 @@ _SCHEMA = {
 }
 _TRAINABLE_DEFAULTS = {"moe": TrainConfig.trainable_moe, "head": TrainConfig.trainable_head,
                        "map": TrainConfig.trainable_map}
+# Keys that size the model's arrays: a value below 1 would reach them as an
+# empty or negative shape.
+_DIMENSIONS = {("task", "token_dim"), ("model", "hidden_dim")}
 
 
 def default_config() -> dict:
@@ -145,6 +150,8 @@ def load_config(path) -> dict:
             expected = _SCHEMA[section][key][0]
             if not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigError(f"{path}: '{section}.{key}' has wrong type {type(value).__name__}")
+            if (section, key) in _DIMENSIONS and value < 1:
+                raise ConfigError(f"{path}: '{section}.{key}' must be >= 1, got {value}")
             cfg[section][key] = value
     return cfg
 
@@ -276,7 +283,13 @@ def _load_base(path, cfg: dict) -> ToyModel:
 
 
 def _moe_config(cfg: dict) -> MoeConfig:
-    return MoeConfig(
+    """The supernet config of a tune or ablate run, which must reproduce its base at step 0.
+
+    At step 0 a token's top_k picks are the slices of one replica, and only
+    all ``granularity`` of them sum to the base FFN; with fewer the step-0
+    identity check always fails, so such a config is rejected up front.
+    """
+    moe_cfg = MoeConfig(
         token_dim=cfg["task"]["token_dim"],
         hidden_dim=cfg["model"]["hidden_dim"],
         n_replicas=cfg["moe"]["n_replicas"],
@@ -284,6 +297,10 @@ def _moe_config(cfg: dict) -> MoeConfig:
         top_k=cfg["moe"]["top_k"],
         seed=cfg["moe"]["seed"],
     )
+    if moe_cfg.top_k < moe_cfg.granularity:
+        raise ConfigError(f"moe.top_k {moe_cfg.top_k} is below moe.granularity {moe_cfg.granularity}: "
+                          f"the expanded model cannot reproduce its base at step 0")
+    return moe_cfg
 
 
 def cmd_tune(args) -> int:
@@ -362,6 +379,8 @@ def _parse_sizes(sizes_arg: str | None):
         if len(parts) != 4:
             raise ConfigError(f"--sizes entry {item!r}: expected DxHxNxK")
         token_dim, hidden, replicas, granularity = (int(p) for p in parts)
+        if min(token_dim, hidden, replicas, granularity) < 1:
+            raise ConfigError(f"--sizes entry {item!r}: every size must be >= 1")
         if token_dim > 64 or hidden > 64:
             raise ConfigError(f"--sizes entry {item!r}: gradcheck sizes are capped at 64")
         dims.append((token_dim, hidden, replicas, granularity))
@@ -389,10 +408,11 @@ def cmd_bench_dispatch(args) -> int:
     threads = _resolve_threads(args)
     dtype = _dtype_of(args)
     rng = make_rng(args.seed if args.seed is not None else 0, STREAM_BENCH)
-    base = init_ffn(args.token_dim, args.hidden, rng, dtype=dtype)
+    # the config checks the dimensions before init_ffn draws arrays of them
     cfg = MoeConfig(token_dim=args.token_dim, hidden_dim=args.hidden,
                     n_replicas=args.replicas, granularity=args.granularity,
                     top_k=args.top_k, seed=args.seed if args.seed is not None else 0)
+    base = init_ffn(args.token_dim, args.hidden, rng, dtype=dtype)
     layer = expand_supernet(base, cfg)
     # nudge the router off the grouped init so expert loads are realistic
     nudge = (0.5 * rng.normal(size=layer.router.w_r.shape) / np.sqrt(args.token_dim)).astype(dtype)
@@ -518,6 +538,10 @@ def main(argv=None) -> int:
     except (FileNotFoundError, FormatError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
+    except ShapeError as e:
+        # every input that could raise one is rejected where it enters, as a config or input error
+        print(f"internal error: {e}", file=sys.stderr)
+        return 6
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -33,6 +33,7 @@ from .moe import (
     dispatch_batch,
     expand_supernet,
     group_by_expert,
+    grouped_backward,
     load_balance_loss,
     total_loss,
 )
@@ -246,13 +247,21 @@ class TuneResult:
 
 
 def _model_forward(model: ToyModel, tokens: np.ndarray, threads: int = 1):
+    """(u, v, y, trace, grouped) of a batch through the model.
+
+    u and v are the block's input and output and y the prediction. trace is
+    the routing and grouped the saved forward of a grouped dispatch; each is
+    None where there is none (a dense model; grouped also on the per-expert
+    path).
+    """
     u = mm(tokens, model.input_w.T) + model.input_b
     if model.kind == "dense":
-        v, trace = ffn_forward_batch(model.block, u), None
+        v, trace, grouped = ffn_forward_batch(model.block, u), None, None
     else:
-        v, trace = dispatch_batch(model.block, u, threads)
+        dispatched = dispatch_batch(model.block, u, threads)
+        (v, trace), grouped = dispatched, dispatched.grouped
     y = mm(v, model.head_w.T) + model.head_b
-    return u, v, y, trace
+    return u, v, y, trace, grouped
 
 
 def model_predict(model: ToyModel, tokens: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -298,7 +307,7 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
     only, assignment fractions frozen at their batch values. The map
     gradient takes the balance loss's path through the router scores too.
     """
-    u, v, y, trace = _model_forward(model, tokens, threads)
+    u, v, y, trace, grouped = _model_forward(model, tokens, threads)
     diff = y - targets
     mse = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff
@@ -311,12 +320,17 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
         aux = 0.0
     else:
         layer = model.block
-        # Same grouping and ascending-expert adds as dispatch_batch's forward.
-        du = np.zeros_like(u)
-        for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
-            expert_grads, du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
-            grads.update(_ffn_named(f"expert{e}", expert_grads))
-            add_rows(du, idx, du_e)
+        # The path dispatch_batch took forward, with its ascending-expert adds.
+        if grouped is not None:
+            expert_grads, du = grouped_backward(layer.experts, grouped, dv)
+        else:
+            expert_grads, du = [], np.zeros_like(u)
+            for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
+                g, du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
+                expert_grads.append((e, g))
+                add_rows(du, idx, du_e)
+        for e, g in expert_grads:
+            grads.update(_ffn_named(f"expert{e}", g))
         aux = load_balance_loss(trace)
         grads["router.w_r"], grads["router.b_r"], d_logits = balance_loss_backward(trace, u, alpha)
         du += mm(d_logits, layer.router.w_r)
@@ -379,7 +393,7 @@ def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
              threads: int = 1) -> EvalResult:
     """Loss on the task's fixed held-out set (drawn from the eval stream of task.seed)."""
     tokens, targets, labels = generate_batch(task, make_rng(task.seed, STREAM_EVAL), n_tokens)
-    _, _, y, trace = _model_forward(model, tokens, threads)
+    _, _, y, trace, _ = _model_forward(model, tokens, threads)
     mse = float(np.mean((y - targets) ** 2))
     aux = load_balance_loss(trace) if trace is not None else None
     return EvalResult(mse, aux, trace, labels)
@@ -523,7 +537,7 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         tokens = sub.normal(size=(batch, token_dim))
         targets = sub.normal(size=(batch, token_dim))
 
-        u, _, _, trace = _model_forward(model, tokens)
+        u, _, _, trace, _ = _model_forward(model, tokens)
         ranked = np.sort(trace.scores, axis=1)[:, ::-1]
         margin = float(np.min(ranked[:, moe_cfg.top_k - 1] - ranked[:, moe_cfg.top_k]))
         if margin < 1e-4:
@@ -572,7 +586,7 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
         model, tokens, targets = _gradcheck_instance(rng, dims, batch)
 
         def loss(a):
-            _, _, y, trace = _model_forward(model, tokens)
+            _, _, y, trace, _ = _model_forward(model, tokens)
             mse = float(np.mean((y - targets) ** 2))
             return total_loss(mse, load_balance_loss(trace), a)
 

@@ -6,10 +6,10 @@ float32 is an opt-in mode and callers using it must relax tolerances.
 
 Reproducibility contract
 ------------------------
-Every matrix product in this package funnels through :func:`mm`, which
-canonicalizes operand layout and evaluates through one kernel chosen at
-import (:data:`KERNEL`). This buys two properties everything downstream
-leans on:
+Every matrix product in this package funnels through :func:`mm` or its
+grouped form :func:`mm_grouped`, which canonicalize operand layout and
+evaluate through one kernel chosen at import (:data:`KERNEL`). This buys
+two properties everything downstream leans on:
 
 * row stability: ``mm(a, b)[i]`` is bitwise identical to
   ``mm(a[i:i+1], b)[0]``, no matter how many rows are evaluated together
@@ -30,11 +30,27 @@ row stability at every block position, for float64 and float32, on small
 shapes (where OpenBLAS may take its small-matrix kernel) and on one large
 enough for its blocked, threaded path. If it fails, :func:`mm` uses a
 single ``np.einsum`` reduction instead, which keeps both properties on any
-platform at ~10x the cost. Thread independence is checked by
-``tests/test_numkernel.py``, which compares the bytes of the expert
-products under one and two BLAS threads; at import it would cost a
-subprocess. Because bits do not depend on it, a caller running products on
-its own thread pool may hold BLAS at one thread (:func:`single_blas_thread`).
+platform at ~10x the cost.
+
+:func:`mm_grouped` makes the same gemm calls for many experts at once: one
+``np.matmul`` over a ``(G, ROW_BLOCK, n)`` stack of row blocks against a
+``(G, n, p)`` stack of each block's own weight, so block g is bitwise
+``mm`` of that block and weight. A small dispatch routes its expert
+products through it: the forward's two layers and the backward's ``dz1``
+and ``dx``. Every other product goes through :func:`mm`: the router, the
+input map and head, the per-expert weight gradients (which reduce over an
+expert's token count, so padding would change them), and the expert
+products of a large dispatch and of the per-token loop. The import probe
+checks the grouped call block by block against :func:`mm`'s kernel, under
+either kernel (under the einsum fallback the grouped call is an
+``np.einsum`` too). If it fails, the grouped call makes one kernel call per
+block instead; :func:`mm` keeps its kernel either way.
+
+Thread independence is checked by ``tests/test_numkernel.py``, which
+compares the bytes of the expert products, plain and grouped, under one and
+two BLAS threads; at import it would cost a subprocess. Because bits do not
+depend on it, a caller running products on its own thread pool may hold
+BLAS at one thread (:func:`single_blas_thread`).
 
 :func:`softmax_rows` keeps the same row-stability property. Together these
 make "batched path equals per-token loop, bitwise" a provable invariant
@@ -103,6 +119,24 @@ def _mm_einsum(a: Matrix, b: Matrix) -> Matrix:
     return np.einsum("mn,np->mp", a, b)
 
 
+# Grouped forms of the two kernels: (G, ROW_BLOCK, n) @ (G, n, p), block g
+# against its own weight. Each gemm call keeps the blocked kernel's shape.
+def _grouped_blocked(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.matmul(a, w)
+
+
+def _grouped_einsum(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("gmn,gnp->gmp", a, w)
+
+
+# The grouped form of last resort: one call of the chosen kernel per block.
+def _grouped_per_block(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    out = np.empty(a.shape[:2] + w.shape[2:], dtype=np.result_type(a, w))
+    for g in range(len(a)):
+        out[g] = _kernel(a[g], w[g])
+    return out
+
+
 # (n, p) probe shapes. A (ROW_BLOCK, n) @ (n, p) call under 100**3
 # multiply-adds may take OpenBLAS's small-matrix kernel (the first two); the
 # last is above it and above OpenBLAS's threading cut-off, so it takes the
@@ -127,10 +161,30 @@ def _rows_stable(kernel) -> bool:
     return True
 
 
+def _groups_match(kernel, grouped) -> bool:
+    """Whether every block of a ``grouped`` product equals ``kernel`` on that block.
+
+    Three blocks take the weights of a two-expert stack out of order.
+    """
+    rng = np.random.default_rng(1)
+    for dtype in (np.float64, np.float32):
+        for n, p in _PROBE_SHAPES:
+            blocks = rng.standard_normal((3, ROW_BLOCK, n)).astype(dtype)
+            w = rng.standard_normal((2, n, p)).astype(dtype)[[1, 0, 1]]
+            out = grouped(blocks, w)
+            if not all(np.array_equal(out[g], kernel(blocks[g], w[g])) for g in range(3)):
+                return False
+    return True
+
+
 if _rows_stable(_mm_blocked):
-    _kernel, KERNEL = _mm_blocked, f"blas-rowblock-{ROW_BLOCK}"
+    _kernel, _grouped, KERNEL = _mm_blocked, _grouped_blocked, f"blas-rowblock-{ROW_BLOCK}"
 else:
-    _kernel, KERNEL = _mm_einsum, "einsum"
+    _kernel, _grouped, KERNEL = _mm_einsum, _grouped_einsum, "einsum"
+# A grouped form that rounds any block differently from its kernel gives way
+# to one kernel call per block: slower, but mm keeps its kernel and bits.
+if not _groups_match(_kernel, _grouped):
+    _grouped = _grouped_per_block
 
 
 def mm(a: Matrix, b: Matrix) -> Matrix:
@@ -145,6 +199,31 @@ def mm(a: Matrix, b: Matrix) -> Matrix:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("mm", a.shape, b.shape)
     return _kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
+def mm_grouped(a: Matrix, w: np.ndarray, block_expert: np.ndarray) -> Matrix:
+    """Row-block grouped product: block g of ``a`` times ``w[block_expert[g]]``.
+
+    ``a`` is (G * ROW_BLOCK, n), G whole blocks of rows; ``w`` is an (E, n, p)
+    stack; ``block_expert`` holds G indices into it. The result is
+    (G * ROW_BLOCK, p), and block g is bitwise ``mm`` of that block and its
+    weight: one kernel call makes every gemm call, each of the
+    ``(ROW_BLOCK, n) @ (n, p)`` shape that ``mm`` uses. As in ``mm``, the
+    stack is brought to C-contiguous layout before the blocks' weights are
+    gathered from it, so the rounding does not depend on how the caller
+    transposed it (a gathered transposed view would hand BLAS transposed
+    operands and change bits).
+    """
+    a = np.asarray(a)
+    w = np.asarray(w)
+    block_expert = np.asarray(block_expert)
+    if (a.ndim != 2 or w.ndim != 3 or block_expert.ndim != 1
+            or a.shape != (len(block_expert) * ROW_BLOCK, w.shape[1])):
+        raise ShapeError("mm_grouped", a.shape, w.shape, block_expert.shape)
+    blocks, (n, p) = len(block_expert), w.shape[1:]
+    weights = np.ascontiguousarray(w)[block_expert]
+    out = _grouped(np.ascontiguousarray(a).reshape(blocks, ROW_BLOCK, n), weights)
+    return out.reshape(blocks * ROW_BLOCK, p)
 
 
 @functools.cache
@@ -192,15 +271,32 @@ def single_blas_thread():
         put(previous)
 
 
+# Rows at most this wide take their softmax max down the columns of a
+# transposed copy: one reduction over whole columns instead of one per short
+# row. Measured on 2 vCPUs (numpy 2.4.6), max time row-wise / transposed:
+# 16 columns 1.6x-3.5x faster from 1 to 8192 rows, 1.2x at 16384; 32
+# columns 0.4x at 16384 rows, 128 columns 0.14x (the copy costs more than
+# the reduction saves).
+_NARROW_ROWS = 16
+
+
 def softmax_rows(z: Matrix) -> Matrix:
     """Row-wise softmax, max-stabilized; bitwise row-stable."""
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] == 0:
         raise ShapeError("softmax_rows", z.shape)
+    # A max is exact, so the two ways of taking it give the same bits. The
+    # one value they may pick differently is the sign of a zero maximum,
+    # which changes no output: z - (+0) and z - (-0) are both z for z != 0,
+    # and a zero z gives a zero, of either sign, whose exp is 1.
+    if z.shape[1] <= _NARROW_ROWS:
+        m = np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    else:
+        m = np.max(z, axis=-1, keepdims=True)
     # One buffer for the shifted logits, their exponentials and the result;
     # the same operations as exp(z - m) / sum, so the same bits. Integer
     # logits shift in float64, the dtype np.exp would give them.
-    e = np.subtract(z, np.max(z, axis=-1, keepdims=True), dtype=np.result_type(z, 0.0))
+    e = np.subtract(z, m, dtype=np.result_type(z, 0.0))
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

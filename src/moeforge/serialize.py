@@ -128,7 +128,10 @@ def _parse_ffn(f) -> FfnParams:
     b1 = _read_array(f, (hidden,), dtype)
     w2 = _read_array(f, (dim, hidden), dtype)
     b2 = _read_array(f, (dim,), dtype)
-    return FfnParams(w1, b1, w2, b2, _ACTIVATION_CODES[act_code])
+    try:
+        return FfnParams(w1, b1, w2, b2, _ACTIVATION_CODES[act_code])
+    except ValueError as e:  # a zero dimension or a non-finite weight
+        raise FormatError(f"invalid MFFN block: {e}") from None
 
 
 def _dump_moe(f, layer: MoeLayer) -> None:

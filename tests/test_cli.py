@@ -167,6 +167,30 @@ class TestTuneCommand:
                      "--out", str(tmp_path / "t4")])
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["tune", "ablate"])
+    def test_top_k_below_granularity_exits_2_before_any_work(self, tmp_path, pretrained, capsys, command):
+        # k of a replica's g slices cannot sum to the base FFN, so step 0
+        # could never reproduce the base; nothing is evaluated or written
+        ckpt, _ = pretrained
+        config = write_config(tmp_path, {"moe": {"top_k": 1}}, name="k1.json")
+        capsys.readouterr()
+        out = tmp_path / "k1"
+        assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
+        assert "config error: moe.top_k 1 is below moe.granularity 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_internal_shape_error_exits_6(self, tmp_path, pretrained, capsys, monkeypatch):
+        ckpt, config = pretrained
+
+        def broken(a, w, block_expert):
+            raise numkernel.ShapeError("mm_grouped", a.shape, w.shape, block_expert.shape)
+
+        monkeypatch.setattr(moeforge.moe, "mm_grouped", broken)
+        capsys.readouterr()
+        code = main(["tune", "--config", str(config), "--base", str(ckpt), "--out", str(tmp_path / "t6")])
+        assert code == 6
+        assert capsys.readouterr().err.startswith("internal error: mm_grouped: incompatible shapes")
+
     def test_threads_do_not_change_outputs(self, tmp_path, pretrained):
         # exit-code stability plus byte-identical metrics regardless of --threads
         ckpt, config = pretrained
@@ -419,6 +443,35 @@ class TestSplitInspectCommand:
         path = tmp_path / "toy.ckpt"
         save_toy_model(path, init_toy_model(4, 9, seed=0))
         assert main(["split-inspect", "--ckpt", str(path), "--granularity", "2"]) == 2
+
+
+def _zero_dim_checkpoint(tmp_path):
+    import struct
+    from moeforge.serialize import FORMAT_VERSION, MAGIC_FFN, MAGIC_TOY
+
+    blob = MAGIC_FFN + struct.pack("<5I", FORMAT_VERSION, 0, 0, 0, 0)
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(MAGIC_TOY + struct.pack("<4I", FORMAT_VERSION, 0, 0, 0)
+                     + struct.pack("<Q", len(blob)) + blob)
+    return path
+
+
+# Zero sizes are rejected where they enter, as config or input errors, and
+# never reach the model as a ShapeError (exit 6, internal error).
+@pytest.mark.parametrize("argv,message", [
+    (lambda tmp: ["pretrain", "--config", str(write_config(tmp, {"model": {"hidden_dim": 0}})),
+                  "--out", str(tmp / "o")], "config error: "),
+    (lambda tmp: ["pretrain", "--config", str(write_config(tmp, {"task": {"token_dim": 0, "noise_std": 0}})),
+                  "--out", str(tmp / "o")], "config error: "),
+    (lambda tmp: ["gradcheck", "--sizes", "4x0x2x2"], "config error: "),
+    (lambda tmp: ["bench-dispatch", "--tokens", "4", "--token-dim", "0"], "config error: "),
+    (lambda tmp: ["bench-dispatch", "--tokens", "4", "--hidden", "0"], "config error: "),
+    (lambda tmp: ["split-inspect", "--ckpt", str(_zero_dim_checkpoint(tmp)), "--granularity", "2"],
+     "input error: invalid MFFN block"),
+])
+def test_zero_sizes_are_input_errors_not_internal_ones(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_module_entrypoint_runs():

@@ -7,10 +7,20 @@ import numpy as np
 import pytest
 
 from moeforge import moe, numkernel
-from moeforge.moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, moe_forward
+from moeforge.ffn import FfnParams
+from moeforge.moe import (MoeConfig, MoeLayer, RouterParams, RoutingTrace, dispatch_batch, dispatch_loop,
+                          expand_supernet, moe_forward)
 from moeforge.numkernel import ShapeError, make_rng
 
 from conftest import random_ffn, random_layer
+
+
+def _per_expert_batch(cfg):
+    """Token count of a batch whose workspace is above the grouping cap."""
+    n = 64
+    while moe._grouped_workspace(n, cfg) <= moe.GROUPED_WORKSPACE:
+        n *= 2
+    return n
 
 
 def _assert_identical(a, b):
@@ -92,8 +102,9 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
         assert seen and set(seen) == {1}
         assert get() == outer
         seen.clear()
-        dispatch_batch(layer, tokens, threads=1)
-        assert set(seen) == {outer}
+        # one thread: per-expert calls only above the grouping cap
+        dispatch_batch(layer, rng.normal(size=(_per_expert_batch(cfg), cfg.token_dim)), threads=1)
+        assert seen and set(seen) == {outer}
         monkeypatch.setattr(moe, "ffn_forward_batch", failing)
         with pytest.raises(RuntimeError, match="expert failed"):
             dispatch_batch(layer, tokens, threads=2)
@@ -121,6 +132,27 @@ def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     out = dispatch_batch(layer, tokens, threads=4)
     _assert_identical(out, reference)
     _assert_identical(out, dispatch_loop(layer, tokens))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_grouped_rows_equal_per_expert_rows(rng, dtype):
+    # one layer: a batch above the workspace cap takes the per-expert path,
+    # its first rows alone take the grouped path (or, given a pool, the
+    # per-expert path again), and the rows agree
+    layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=3, perturb=0.5)
+    e = layer.experts
+    layer = MoeLayer(cfg, FfnParams(*(a.astype(dtype) for a in (e.w1, e.b1, e.w2, e.b2)), e.activation),
+                     RouterParams(layer.router.w_r.astype(dtype), layer.router.b_r.astype(dtype)))
+    tokens = rng.normal(size=(_per_expert_batch(cfg), cfg.token_dim)).astype(dtype)
+    whole = dispatch_batch(layer, tokens)
+    first = dispatch_batch(layer, tokens[:300])
+    assert whole.grouped is None and first.grouped is not None
+    assert first[0].dtype == dtype
+    head = RoutingTrace(cfg.top_k, whole[1].scores[:300], whole[1].selected[:300])
+    _assert_identical(first, (whole[0][:300], head))
+    pooled = dispatch_batch(layer, tokens[:300], threads=2)
+    assert pooled.grouped is None
+    _assert_identical(pooled, first)
 
 
 def test_no_slot_sized_buffer():

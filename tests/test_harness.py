@@ -338,10 +338,11 @@ def _collect_grads_reference(model, tokens, targets, alpha):
 
 
 # (token_dim, hidden_dim, n_replicas, granularity), top_k, tokens: the default
-# shape; 3 tokens on 16 experts, which leaves experts empty; top_k = n_experts.
+# shape; 3 tokens on 16 experts, which leaves experts empty; top_k = n_experts;
+# a batch above dispatch's grouping cap, which takes the per-expert backward.
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("dims,top_k,n_tokens", [((6, 12, 2, 2), 0, 45), ((8, 16, 4, 4), 2, 3),
-                                                 ((5, 8, 3, 2), 6, 45)])
+                                                 ((5, 8, 3, 2), 6, 45), ((6, 12, 2, 2), 0, 4096)])
 def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, threads):
     from moeforge.harness import ToyModel, _collect_grads
 

@@ -16,6 +16,7 @@ from moeforge.numkernel import (
     gelu_grad,
     make_rng,
     mm,
+    mm_grouped,
     relu,
     relu_grad,
     softmax_rows,
@@ -77,6 +78,26 @@ def assert_rows_stable():
 @pytest.fixture
 def einsum_fallback(monkeypatch):
     monkeypatch.setattr(numkernel, "_kernel", numkernel._mm_einsum)
+    monkeypatch.setattr(numkernel, "_grouped", numkernel._grouped_einsum)
+
+
+def assert_groups_match_mm():
+    # every block of a grouped product equals mm on that block and its
+    # expert's weight, bitwise, for every (n, p) up to 24; the weights come
+    # as a transposed view, which the grouped call must canonicalize the way
+    # mm does (gathering blocks from the view changes bits at some shapes)
+    rng = make_rng(12)
+    block_expert = np.array([2, 0, 0, 1, 2])
+    for dtype in (np.float64, np.float32):
+        for n in range(1, 25):
+            for p in range(1, 25):
+                a = rng.normal(size=(len(block_expert) * ROW_BLOCK, n)).astype(dtype)
+                w = rng.normal(size=(3, p, n)).astype(dtype).transpose(0, 2, 1)
+                out = mm_grouped(a, w, block_expert)
+                assert out.shape == (len(a), p) and out.dtype == dtype
+                for g, e in enumerate(block_expert):
+                    rows = slice(g * ROW_BLOCK, (g + 1) * ROW_BLOCK)
+                    assert np.array_equal(out[rows], mm(a[rows], w[e])), (dtype, n, p, g)
 
 
 class TestMm:
@@ -85,6 +106,41 @@ class TestMm:
 
     def test_row_stability_einsum_fallback(self, einsum_fallback):
         assert_rows_stable()
+
+    def test_grouped_blocks_equal_mm(self):
+        assert_groups_match_mm()
+
+    def test_grouped_blocks_equal_mm_einsum_fallback(self, einsum_fallback):
+        assert_groups_match_mm()
+
+    @pytest.mark.parametrize("kernel", ["_mm_blocked", "_mm_einsum"])
+    def test_grouped_per_block_fallback_equals_mm(self, monkeypatch, kernel):
+        monkeypatch.setattr(numkernel, "_kernel", getattr(numkernel, kernel))
+        monkeypatch.setattr(numkernel, "_grouped", numkernel._grouped_per_block)
+        assert_groups_match_mm()
+        none = mm_grouped(np.zeros((0, 3)), np.ones((2, 3, 4)), np.zeros(0, dtype=np.intp))
+        assert none.shape == (0, 4)
+
+    def test_grouped_probe_accepts_both_kernels_and_rejects_a_skew(self):
+        def skewed(a, w):
+            out = numkernel._grouped_einsum(a, w)
+            out[1] = np.nextafter(out[1], np.inf)
+            return out
+
+        assert numkernel._groups_match(numkernel._mm_blocked, numkernel._grouped_blocked)
+        assert numkernel._groups_match(numkernel._mm_einsum, numkernel._grouped_einsum)
+        assert numkernel._groups_match(numkernel._kernel, numkernel._grouped_per_block)
+        assert not numkernel._groups_match(numkernel._mm_einsum, skewed)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_grouped_empty_and_shape_errors(self, dtype):
+        w = np.ones((2, 3, 4), dtype)
+        none = mm_grouped(np.zeros((0, 3), dtype), w, np.zeros(0, dtype=np.intp))
+        assert none.shape == (0, 4) and none.dtype == dtype
+        for a, be in ((np.zeros((ROW_BLOCK - 1, 3)), [0]), (np.zeros((ROW_BLOCK, 2)), [0]),
+                      (np.zeros((2 * ROW_BLOCK, 3)), [0]), (np.zeros((ROW_BLOCK, 3)), [[0]])):
+            with pytest.raises(ShapeError):
+                mm_grouped(a, w, np.array(be))
 
     def test_probe_accepts_einsum_and_rejects_position_dependence(self):
         def skewed(a, b):
@@ -131,23 +187,27 @@ class TestMm:
 _THREAD_PROBE = """
 import hashlib
 import numpy as np
-from moeforge.numkernel import make_rng, mm
+from moeforge.numkernel import make_rng, mm, mm_grouped
 rng = make_rng(11)
 a = rng.normal(size=(1000, 256))
 w1 = rng.normal(size=(256, 512))
 w2 = rng.normal(size=(512, 256))
+stack = rng.normal(size=(3, 256, 512))
+block_expert = np.arange(15) % 3
 digest = hashlib.sha256()
 for dtype in (np.float64, np.float32):
     hidden = mm(a.astype(dtype), w1.astype(dtype))
     digest.update(hidden.tobytes())
     digest.update(mm(hidden, w2.astype(dtype)).tobytes())
+    digest.update(mm_grouped(a[:960].astype(dtype), stack.astype(dtype), block_expert).tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_blas_thread_count_independence():
-    # the dispatch-dense expert products (1000 rows of 256 -> 512 -> 256),
-    # computed under one and two BLAS threads, must agree to the byte
+    # the dispatch-dense expert products (1000 rows of 256 -> 512 -> 256) and
+    # a grouped product over 15 blocks of a 3-expert stack, computed under
+    # one and two BLAS threads, must agree to the byte
     src = str(Path(moeforge.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -194,19 +254,30 @@ class TestSoftmax:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bits_of_the_textbook_form_and_input_kept(self, dtype):
+        # 9 columns take the narrow-row max, 18 (two copies side by side) the
+        # row-wise one
         rng = make_rng(8)
         z = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-3, 3, size=(40, 1))
         z[0] = 700.0                       # all tied, large
         z[1, :4] = z[1].max() + 1e3        # tied maxima
         z[2] = [-1e4, 1e4, 0, 1e4, 3, -3, 1e4, 0, 5]
-        z = z.astype(dtype)
-        before = z.copy()
-        m = np.max(z, axis=-1, keepdims=True)
-        expected = np.exp(z - m) / np.sum(np.exp(z - m), axis=-1, keepdims=True)
-        out = softmax_rows(z)
-        assert out.dtype == dtype
-        assert np.array_equal(out, expected)
-        assert np.array_equal(z, before)
+        z[3] = [0.0, -0.0, -1, 0.0, -0.0, -2, -0.0, 0.0, -3]    # zero maxima of both signs
+        z[4] = [-0.0, -0.0, -1, -0.0, 0.0, -5, -0.0, -0.0, -0.0]
+        z[5] = [-0.0] * 9
+        z[6] = [1.0, np.inf, 0, -np.inf, 2, 3, 4, 5, 6]
+        z[7] = [-np.inf] * 9
+        z[8] = [1.0, -np.inf, 0, -np.inf, 2, 3, 4, 5, 6]
+        z[9] = [1.0, np.nan, 0, 7, 2, 3, 4, 5, 6]
+        z[10] = [np.inf, np.nan, -np.inf, 0, 2, 3, 4, 5, 6]
+        for z in (z.astype(dtype), np.hstack([z, z[:, ::-1]]).astype(dtype)):
+            before = z.copy()
+            with np.errstate(invalid="ignore"):
+                m = np.max(z, axis=-1, keepdims=True)
+                expected = np.exp(z - m) / np.sum(np.exp(z - m), axis=-1, keepdims=True)
+                out = softmax_rows(z)
+            assert out.dtype == dtype
+            assert out.tobytes() == expected.tobytes()
+            assert np.array_equal(z, before, equal_nan=True)
 
 
 class TestActivations:
