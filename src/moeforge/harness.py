@@ -28,6 +28,7 @@ from .moe import (
     MoeLayer,
     RoutingTrace,
     add_rows,
+    assignment_counts,
     assignment_fractions,
     balance_loss_backward,
     dispatch_batch,
@@ -276,19 +277,18 @@ def _ffn_named(prefix: str, p: FfnParams | FfnGrads) -> list[tuple[str, np.ndarr
 def _parameters(model: ToyModel):
     """Yield (name, part, array) for every array training can update.
 
-    The order is fixed: the dense block or the experts in index order (views
-    into the expert stack), then the router, the head and the input map.
-    ``part`` picks the learning rate and the trainable flag, and it is the
-    gradcheck group.
+    The order is fixed: the dense block (``block.*``) or the four arrays of
+    the expert stack (``experts.*``, each (n_experts, ...), the model's own
+    arrays), then the router, the head and the input map. ``part`` picks
+    the learning rate and the trainable flag, and it is the gradcheck group.
     """
     if model.kind == "dense":
         for name, a in _ffn_named("block", model.block):
             yield name, "experts", a
     else:
         layer = model.block
-        for e, p in enumerate(layer.experts):
-            for name, a in _ffn_named(f"expert{e}", p):
-                yield name, "experts", a
+        for name, a in _ffn_named("experts", layer.experts):
+            yield name, "experts", a
         yield "router.w_r", "router", layer.router.w_r
         yield "router.b_r", "router", layer.router.b_r
     yield "head_w", "head", model.head_w
@@ -301,9 +301,9 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
                    alpha: float, threads: int = 1):
     """Forward + backward over one batch.
 
-    Returns (grads, task mse, balance loss, trace); grads maps the names of
-    _parameters to their gradients, and an expert that got no tokens has no
-    entry. Router gradients follow the hard-gate contract: balance loss
+    Returns (grads, task mse, balance loss, trace); grads maps every name of
+    _parameters to its gradient, with a zero row for each expert that got no
+    tokens. Router gradients follow the hard-gate contract: balance loss
     only, assignment fractions frozen at their batch values. The map
     gradient takes the balance loss's path through the router scores too.
     """
@@ -322,15 +322,13 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
         layer = model.block
         # The path dispatch_batch took forward, with its ascending-expert adds.
         if grouped is not None:
-            expert_grads, du = grouped_backward(layer.experts, grouped, dv)
+            g, du = grouped_backward(layer.experts, grouped, dv)
         else:
-            expert_grads, du = [], np.zeros_like(u)
+            g, du = FfnGrads.zeros(layer.experts), np.zeros_like(u)
             for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
-                g, du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
-                expert_grads.append((e, g))
+                g[e], du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
                 add_rows(du, idx, du_e)
-        for e, g in expert_grads:
-            grads.update(_ffn_named(f"expert{e}", g))
+        grads.update(_ffn_named("experts", g))
         aux = load_balance_loss(trace)
         grads["router.w_r"], grads["router.b_r"], d_logits = balance_loss_backward(trace, u, alpha)
         du += mm(d_logits, layer.router.w_r)
@@ -341,45 +339,55 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
 
 
 class _Sgd:
-    def step(self, name, param, grad, lr):
-        param -= lr * grad
+    def step(self, name, param, grad, lr, rows=None):
+        param -= lr * grad  # whole stacks too: a zero gradient row changes no bit
 
 
 class _AdamW:
-    """Decoupled weight decay variant; state keyed by parameter name."""
+    """Decoupled weight decay variant; state keyed by parameter name.
+
+    ``rows`` masks the live experts of a stack: only their rows step, each
+    with its own step count. Any other array has one step count.
+    """
 
     def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
         self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
+        self.t: dict[str, np.ndarray] = {}
 
-    def step(self, name, param, grad, lr):
+    def step(self, name, param, grad, lr, rows=None):
         m = self.m.setdefault(name, np.zeros_like(param))
         v = self.v.setdefault(name, np.zeros_like(param))
-        t = self.t.get(name, 0) + 1
-        self.t[name] = t
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        param -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param)
+        live = ... if rows is None else np.flatnonzero(rows)
+        t = self.t.setdefault(name, np.zeros(() if rows is None else len(param), dtype=np.int64))
+        t[live] += 1
+        # Python's beta**t for each count: 1 - np.power(0.999, t) rounds some t differently
+        c1, c2 = (np.array([1 - b**s for s in np.ravel(t[live]).tolist()], param.dtype)
+                  .reshape((-1,) + (1,) * (param.ndim - 1)) for b in (self.beta1, self.beta2))
+        # in place on the moments' dtype, which a wider gradient (the router's) must not change
+        g, m_live, v_live = grad[live], m[live], v[live]
+        m_live *= self.beta1
+        m_live += (1 - self.beta1) * g
+        v_live *= self.beta2
+        v_live += (1 - self.beta2) * g * g
+        m[live], v[live] = m_live, v_live
+        param[live] -= lr * (m_live / c1 / (np.sqrt(v_live / c2) + self.eps) + self.weight_decay * param[live])
 
 
 def _make_optimizer(cfg: TrainConfig):
     return _AdamW() if cfg.optimizer == "adamw" else _Sgd()
 
 
-def _apply_updates(model: ToyModel, grads: dict, cfg: TrainConfig, opt) -> None:
+def _apply_updates(model: ToyModel, grads: dict, trace: Optional[RoutingTrace], cfg: TrainConfig, opt) -> None:
     lr = {"experts": cfg.lr, "router": cfg.lr if cfg.lr_router is None else cfg.lr_router,
           "head": cfg.lr if cfg.lr_head is None else cfg.lr_head, "map": cfg.lr}
     trainable = {"experts": cfg.trainable_moe, "router": cfg.trainable_moe,
                  "head": cfg.trainable_head, "map": cfg.trainable_map}
+    live = None if trace is None else assignment_counts(trace) > 0
     for name, part, param in _parameters(model):
-        if trainable[part] and name in grads:
-            opt.step(name, param, grads[name], lr[part])
+        if trainable[part]:
+            opt.step(name, param, grads[name], lr[part], live if part == "experts" else None)
 
 
 def _check_curve_value(label: str, value: float, step: int) -> None:
@@ -413,9 +421,9 @@ def _train_loop(task, model, cfg: TrainConfig, with_aux: bool):
     best = math.inf
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
-        grads, mse, aux, _ = _collect_grads(model, tokens, targets, cfg.alpha, cfg.threads)
+        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha, cfg.threads)
         _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha) if with_aux else mse, step)
-        _apply_updates(model, grads, cfg, opt)
+        _apply_updates(model, grads, trace, cfg, opt)
         probe = _probe_loss(model, probe_tokens, probe_targets, cfg.threads)
         _check_curve_value("probe loss", probe, step)
         best = min(best, probe)
@@ -530,10 +538,15 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
                             n_replicas=n_replicas, granularity=granularity, seed=seed)
         layer = expand_supernet(model.block, moe_cfg)
         model = ToyModel(model.input_w, model.input_b, layer, model.head_w, model.head_b)
-        # leave the identity-preserving start: perturb experts and router mildly
-        for _, part, param in _parameters(model):
-            if part in _GRADCHECK_PERTURB:
-                param += _GRADCHECK_PERTURB[part] * sub.normal(size=param.shape)
+        # leave the identity-preserving start: perturb experts and router mildly; the experts'
+        # draw is one (w1 | b1 | w2 | b2) row per expert, the order of drawing expert by expert
+        ex, router = layer.experts, layer.router
+        n, h, d = ex.w1.shape
+        rows = _GRADCHECK_PERTURB["experts"] * sub.normal(size=(n, 2 * h * d + h + d))
+        for a, r in zip((ex.w1, ex.b1, ex.w2, ex.b2), np.split(rows, np.cumsum([h * d, h, d * h]), axis=1)):
+            a += r.reshape(a.shape)
+        for a in (router.w_r, router.b_r):
+            a += _GRADCHECK_PERTURB["router"] * sub.normal(size=a.shape)
         tokens = sub.normal(size=(batch, token_dim))
         targets = sub.normal(size=(batch, token_dim))
 
@@ -594,7 +607,6 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
         analytic_by_group: dict[str, list[float]] = {g: [] for g in group_err}
         fd_by_group: dict[str, list[float]] = {g: [] for g in group_err}
         for name, group, param in _parameters(model):
-            grad = grads.get(name, np.zeros_like(param))
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
                 param[idx] = orig + fd_step
@@ -603,7 +615,7 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
                 down = loss(alpha)
                 param[idx] = orig
                 fd = (up - down) / (2.0 * fd_step)
-                a = float(grad[idx])
+                a = float(grads[name][idx])
                 analytic_by_group[group].append(a)
                 fd_by_group[group].append(fd)
                 diff = abs(a - fd)

@@ -27,7 +27,8 @@ The pieces, in the order a layer comes to life:
   of a zero buffer, and all matrix products share the kernel's row-stable
   reduction order. The training backward in :mod:`moeforge.harness` follows
   the forward's path: on the grouped one it reuses the forward's layout,
-  padded input and pre-activation (:func:`grouped_backward`).
+  padded input and pre-activation (:func:`grouped_backward`). Either path
+  fills one gradient stack, with a zero row for each expert left empty.
 * :func:`load_balance_loss` is the utilization penalty
   ``n_experts * sum_i F_i * P_i`` with F the per-expert share of
   assignments and P the mean routing score.
@@ -504,14 +505,13 @@ def grouped_forward(experts: FfnParams, tokens: np.ndarray, blocks: RowBlocks):
 def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.ndarray):
     """The backward of :func:`grouped_forward`, on the forward's own layout.
 
-    Returns ([(expert, FfnGrads)] for every expert that received tokens,
-    ascending, and the (tokens, dim) input gradient). Both bitwise equal
-    ``ffn_backward_batch`` per expert with its input gradients added per
-    expert in ascending order: the row-wise products ``dz1`` and ``dx`` are
-    grouped, while the weight-gradient products, which reduce over an
-    expert's token count, run per expert on row slices of the padded
-    buffers: padding would change the length of their reduction, which a
-    BLAS may round differently.
+    Returns (the experts' stacked FfnGrads, the (tokens, dim) input
+    gradient). Row e bitwise equals ``ffn_backward_batch`` of expert e, or
+    is zero if e got no tokens, and input gradients add per expert in
+    ascending order: the row-wise products ``dz1`` and ``dx`` are grouped,
+    while the weight-gradient products, which reduce over an expert's token
+    count, run per expert on row slices of the padded buffers: padding would
+    change the length of their reduction, which a BLAS may round differently.
     """
     blocks, x, z1 = saved
     act, act_grad = activation_pair(experts.activation)
@@ -520,11 +520,10 @@ def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.nda
     a = act(z1)
     dz1 = mm_grouped(dy, experts.w2, be) * act_grad(z1)
     dx = mm_grouped(dz1, experts.w1, be)
-    grads = []
+    grads = FfnGrads.zeros(experts)
     for e in np.flatnonzero(blocks.counts).tolist():
         r = slice(blocks.starts[e], blocks.starts[e] + blocks.counts[e])
-        grads.append((e, FfnGrads(mm(dz1[r].T, x[r]), dz1[r].sum(axis=0),
-                                  mm(dy[r].T, a[r]), dy[r].sum(axis=0))))
+        grads[e] = FfnGrads(mm(dz1[r].T, x[r]), dz1[r].sum(axis=0), mm(dy[r].T, a[r]), dy[r].sum(axis=0))
     du = np.zeros_like(upstream)
     blocks.fold(dx, du)
     return grads, du

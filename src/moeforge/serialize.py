@@ -166,10 +166,13 @@ def _parse_moe(f) -> MoeLayer:
     n, width = cfg.n_experts, cfg.expert_hidden_dim
     rows = _read_array(f, (n, 2 * width * dim + width + dim), dtype)
     w1, b1, w2, b2 = (a.copy() for a in np.split(rows, np.cumsum([width * dim, width, dim * width]), axis=1))
-    experts = FfnParams(w1.reshape(n, width, dim), b1, w2.reshape(n, dim, width), b2, activation)
     w_r = _read_array(f, (cfg.n_experts, dim), dtype)
     b_r = _read_array(f, (cfg.n_experts,), dtype)
-    return MoeLayer(cfg, experts, RouterParams(w_r, b_r))
+    try:
+        experts = FfnParams(w1.reshape(n, width, dim), b1, w2.reshape(n, dim, width), b2, activation)
+        return MoeLayer(cfg, experts, RouterParams(w_r, b_r))
+    except ValueError as e:  # a non-finite expert or router weight
+        raise FormatError(f"invalid MMOE block: {e}") from None
 
 
 def save_toy_model(path, model) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from moeforge.ffn import ffn_backward_batch
 from moeforge.moe import MoeConfig, balance_loss_backward, dispatch_loop, expand_supernet
 from moeforge.numkernel import make_rng, mm
 
-from conftest import random_layer
+from conftest import random_ffn, random_layer
 
 import moeforge.moe
 
@@ -356,13 +357,136 @@ def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, thr
     grads, _, _, _ = _collect_grads(model, tokens, targets, 0.01, threads)
     experts, map_w, map_b = _collect_grads_reference(model, tokens, targets, 0.01)
     assert (None in experts) == (n_tokens * cfg.top_k < cfg.n_experts)
-    for e, want in enumerate(experts):
-        assert (f"expert{e}.w1" in grads) == (want is not None)
-        if want is not None:
-            for field in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(grads[f"expert{e}.{field}"], getattr(want, field))
+    for field in ("w1", "b1", "w2", "b2"):
+        stack = grads[f"experts.{field}"]
+        assert stack.shape == getattr(layer.experts, field).shape
+        for e, want in enumerate(experts):
+            # row e is the expert's own backward, bit for bit; an empty expert's row is all zero
+            row = stack[e]
+            if want is None:
+                assert not row.any() and not np.signbit(row).any()
+            else:
+                assert row.tobytes() == getattr(want, field).tobytes()
     assert np.array_equal(grads["input_w"], map_w)
     assert np.array_equal(grads["input_b"], map_b)
+
+
+class _PerNameAdamW:
+    """AdamW with one state entry per name, as it was before stacked steps.
+
+    It steps each live expert as its own view, named ``expert{e}.{field}``,
+    and leaves an empty expert's entry alone: the reference the stacked,
+    row-masked step must reproduce bit for bit.
+    """
+
+    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+        self.beta1, self.beta2, self.eps, self.weight_decay = beta1, beta2, eps, weight_decay
+        self.m, self.v, self.t = {}, {}, {}
+
+    def step(self, name, param, grad, lr):
+        m = self.m.setdefault(name, np.zeros_like(param))
+        v = self.v.setdefault(name, np.zeros_like(param))
+        t = self.t.get(name, 0) + 1
+        self.t[name] = t
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad * grad
+        m_hat = m / (1 - self.beta1**t)
+        v_hat = v / (1 - self.beta2**t)
+        param -= lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * param)
+
+
+class _PerNameSgd:
+    def step(self, name, param, grad, lr):
+        param -= lr * grad
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+def test_stacked_step_bitwise_equals_per_expert_optimizer(optimizer, dtype):
+    # 3 tokens over 16 experts at top-2: experts go empty and come back. In float32 the router's
+    # gradient is float64, which must not widen the float32 moments.
+    from moeforge.harness import ToyModel, _AdamW, _Sgd, _apply_updates, _collect_grads, _parameters
+
+    rng = make_rng(43)
+    base = init_toy_model(8, 16, seed=43, dtype=dtype)
+    cfg = MoeConfig(token_dim=8, hidden_dim=16, n_replicas=4, granularity=4, top_k=2)
+    layer = expand_supernet(random_ffn(rng, 8, 16, dtype=dtype), cfg)
+    for name, _, a in _parameters(ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)):
+        if name.startswith(("experts.", "router.")):
+            a += (0.3 * rng.normal(size=a.shape)).astype(dtype)
+    model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
+    ref = model.copy()
+    train = TrainConfig(lr=0.05, lr_head=0.02, lr_router=0.1, stage=STAGE_MOE_TUNE,
+                        optimizer=optimizer, trainable_map=True)
+    lr = {"experts": 0.05, "router": 0.1, "head": 0.02, "map": 0.05}
+    opt = _AdamW() if optimizer == "adamw" else _Sgd()
+    ref_opt = _PerNameAdamW() if optimizer == "adamw" else _PerNameSgd()
+    history = []
+    for step in range(40):
+        tokens = rng.normal(size=(3, 8)).astype(dtype)
+        targets = rng.normal(size=(3, 8)).astype(dtype)
+        grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
+        _apply_updates(model, grads, trace, train, opt)
+        ref_grads, _, _, ref_trace = _collect_grads(ref, tokens, targets, 0.01)
+        live = np.flatnonzero(moeforge.moe.assignment_counts(ref_trace))
+        history.append(set(live.tolist()))
+        for name, part, param in _parameters(ref):
+            if part != "experts":
+                ref_opt.step(name, param, ref_grads[name], lr[part])
+                continue
+            field = name.split(".")[1]
+            for e in live:
+                ref_opt.step(f"expert{e}.{field}", param[e], ref_grads[name][e], lr[part])
+        for (name, _, a), (_, _, b) in zip(_parameters(model), _parameters(ref)):
+            assert a.tobytes() == b.tobytes(), (step, name)
+    # some expert was live, then empty, then live again
+    assert any(re.search("10+1", "".join(str(int(e in h)) for h in history)) for e in range(cfg.n_experts))
+    if optimizer == "sgd":
+        return
+    for name, part, a in _parameters(model):
+        if part != "experts":
+            assert opt.t[name] == ref_opt.t[name] == 40
+            assert opt.m[name].tobytes() == ref_opt.m[name].tobytes()
+            assert opt.v[name].tobytes() == ref_opt.v[name].tobytes()
+            continue
+        field = name.split(".")[1]
+        for e in range(cfg.n_experts):
+            key, zero = f"expert{e}.{field}", np.zeros_like(a[e])
+            assert opt.t[name][e] == ref_opt.t.get(key, 0) == sum(e in h for h in history)
+            assert opt.m[name][e].tobytes() == ref_opt.m.get(key, zero).tobytes()
+            assert opt.v[name][e].tobytes() == ref_opt.v.get(key, zero).tobytes()
+    # beta2**t and np.power(beta2, t) first differ at t = 7 on common platforms
+    assert opt.t["experts.w1"].max() >= 7 and opt.t["experts.w1"].min() < 40
+
+
+@pytest.mark.parametrize("dims,seed", [((5, 8, 3, 2), 7), ((16, 32, 4, 2), 8), ((4, 9, 2, 3), 9)])
+def test_gradcheck_instance_keeps_the_per_expert_draw_order(dims, seed):
+    from moeforge.harness import ToyModel, _gradcheck_instance
+    from moeforge.numkernel import STREAM_GRADCHECK
+
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    model, tokens, targets = _gradcheck_instance(rng, dims, batch=3)
+    # the reference takes the first draw, so the instance must have accepted it
+    inst_seed = int(ref_rng.integers(0, 2**63))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    token_dim, hidden_dim, n_replicas, granularity = dims
+    sub = make_rng(inst_seed, STREAM_GRADCHECK)
+    dense = init_toy_model(token_dim, hidden_dim, inst_seed)
+    layer = expand_supernet(dense.block, MoeConfig(token_dim=token_dim, hidden_dim=hidden_dim,
+                                                   n_replicas=n_replicas, granularity=granularity,
+                                                   seed=inst_seed))
+    # the old order: w1, b1, w2, b2 of each expert's view, experts ascending, then the router
+    for p in layer.experts:
+        for a in (p.w1, p.b1, p.w2, p.b2):
+            a += 0.3 * sub.normal(size=a.shape)
+    for a in (layer.router.w_r, layer.router.b_r):
+        a += 0.5 * sub.normal(size=a.shape)
+    ref = ToyModel(dense.input_w, dense.input_b, layer, dense.head_w, dense.head_b)
+    assert [a.tobytes() for a in _arrays_held(model)] == [a.tobytes() for a in _arrays_held(ref)]
+    assert tokens.tobytes() == sub.normal(size=(3, token_dim)).tobytes()
+    assert targets.tobytes() == sub.normal(size=(3, token_dim)).tobytes()
 
 
 class TestGradcheck:
@@ -384,6 +508,18 @@ class TestGradcheck:
         assert not report["passed"]
         assert report["groups"]["head"] > report["tol"]
         assert report["worst"]["group"] == "head"
+
+    def test_worst_offender_indexes_the_expert_stack(self):
+        from moeforge.harness import _collect_grads
+
+        def corrupted(model, tokens, targets, alpha, threads=1):
+            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha, threads)
+            grads["experts.w1"] = grads["experts.w1"] + 0.05
+            return grads, mse, aux, trace
+
+        worst = run_gradcheck(seed=0, n_instances=1, grad_fn=corrupted)["worst"]
+        # (expert, row, column) of the stacked array, not a per-expert name
+        assert (worst["group"], worst["name"], len(worst["index"])) == ("experts", "experts.w1", 3)
 
 
 def _arrays_held(obj):
@@ -407,9 +543,10 @@ class TestParameterTable:
         held = _arrays_held(model)
         table = [a for _, _, a in _parameters(model)]
         # four FFN arrays (one FFN or one stack), two router arrays, four head and map arrays;
-        # the table names each expert's four arrays, as views into the stack
+        # the table holds each of them, not a view
         assert len(held) == (4 + 4 if kind == "dense" else 4 + 2 + 4)
-        assert len(table) == (4 + 4 if kind == "dense" else 4 * small_moe_cfg().n_experts + 2 + 4)
+        assert len(table) == len(held)
+        assert all(any(a is h for h in held) for a in table)
         # the table's arrays write through to every held element exactly once
         for a in held:
             a[...] = 0
@@ -432,14 +569,19 @@ class TestParameterTable:
         grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
         empty = sorted(set(range(cfg.n_experts)) - set(trace.selected.ravel().tolist()))
         assert empty
+        live = sorted(set(range(cfg.n_experts)) - set(empty))
         before = {name: a.copy() for name, _, a in _parameters(model)}
         opt = _AdamW()
-        _apply_updates(model, grads, TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw",
-                                                 trainable_map=True), opt)
-        unstepped = {f"expert{e}.{field}" for e in empty for field in ("w1", "b1", "w2", "b2")}
-        for name, _, a in _parameters(model):
-            if name in unstepped:
-                assert name not in opt.t and name not in opt.m and name not in opt.v
-                assert a.tobytes() == before[name].tobytes()
+        _apply_updates(model, grads, trace, TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw",
+                                                        trainable_map=True), opt)
+        for name, part, a in _parameters(model):
+            if part == "experts":
+                # empty rows: parameter bytes unchanged, zero moments, no step counted
+                assert a[empty].tobytes() == before[name][empty].tobytes()
+                assert not opt.m[name][empty].any() and not opt.v[name][empty].any()
+                assert opt.t[name].tolist() == [int(e in live) for e in range(cfg.n_experts)]
+                assert opt.m[name][live].any() and a[live].tobytes() != before[name][live].tobytes()
             else:
                 assert opt.t[name] == 1
+        assert sorted(k for k in opt.t if k.startswith("experts.")) == [
+            "experts.b1", "experts.b2", "experts.w1", "experts.w2"]

@@ -223,6 +223,21 @@ def test_nested_moe_invalid_config_rejected(tmp_path):
         load_toy_model(path)
 
 
+def test_nested_moe_nan_weight_rejected(tmp_path, capsys):
+    from moeforge.cli import main
+
+    dense = init_toy_model(6, 12, seed=4)
+    layer = expand_supernet(dense.block, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
+    raw = _toy_bytes(tmp_path, ToyModel(dense.input_w, dense.input_b, layer, dense.head_w, dense.head_b))
+    # the file ends with the nested block's router bias: make its last f64 a NaN
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    with pytest.raises(FormatError, match="invalid MMOE block: RouterParams: non-finite"):
+        load_toy_model(path)
+    assert main(["split-inspect", "--ckpt", str(path), "--granularity", "2"]) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid MMOE block")
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_moe_container_layout(rng, dtype):
     # header, then each expert's w1|b1|w2|b2 in index order, then the router
