@@ -105,9 +105,10 @@ _SCHEMA = {
 }
 _TRAINABLE_DEFAULTS = {"moe": TrainConfig.trainable_moe, "head": TrainConfig.trainable_head,
                        "map": TrainConfig.trainable_map}
-# Keys that size the model's arrays: a value below 1 would reach them as an
-# empty or negative shape.
-_DIMENSIONS = {("task", "token_dim"), ("model", "hidden_dim")}
+# Keys that size the task, the model or a batch: a value below 1 would reach
+# them as an empty or negative shape.
+_DIMENSIONS = {("task", "token_dim"), ("task", "n_patterns"), ("model", "hidden_dim"),
+               ("train", "eval_tokens"), ("train", "probe_tokens")}
 
 
 def default_config() -> dict:
@@ -285,9 +286,10 @@ def _load_base(path, cfg: dict) -> ToyModel:
 def _moe_config(cfg: dict) -> MoeConfig:
     """The supernet config of a tune or ablate run, which must reproduce its base at step 0.
 
-    At step 0 a token's top_k picks are the slices of one replica, and only
-    all ``granularity`` of them sum to the base FFN; with fewer the step-0
-    identity check always fails, so such a config is rejected up front.
+    At step 0 a token's first ``granularity`` picks are the slices of one
+    replica, which sum to the base FFN only all together: with fewer picks
+    the step-0 identity check always fails, and with more the extra picks
+    add another replica's slices. Either config is rejected up front.
     """
     moe_cfg = MoeConfig(
         token_dim=cfg["task"]["token_dim"],
@@ -297,8 +299,9 @@ def _moe_config(cfg: dict) -> MoeConfig:
         top_k=cfg["moe"]["top_k"],
         seed=cfg["moe"]["seed"],
     )
-    if moe_cfg.top_k < moe_cfg.granularity:
-        raise ConfigError(f"moe.top_k {moe_cfg.top_k} is below moe.granularity {moe_cfg.granularity}: "
+    k, g = moe_cfg.top_k, moe_cfg.granularity
+    if k != g:
+        raise ConfigError(f"moe.top_k {k} is {'below' if k < g else 'above'} moe.granularity {g}: "
                           f"the expanded model cannot reproduce its base at step 0")
     return moe_cfg
 

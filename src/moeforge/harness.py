@@ -27,13 +27,12 @@ from .moe import (
     MoeConfig,
     MoeLayer,
     RoutingTrace,
-    add_rows,
     assignment_counts,
     assignment_fractions,
     balance_loss_backward,
     dispatch_batch,
+    dispatch_whole,
     expand_supernet,
-    group_by_expert,
     grouped_backward,
     load_balance_loss,
     total_loss,
@@ -247,22 +246,24 @@ class TuneResult:
     coselection: CoSelectionMatrix
 
 
-def _model_forward(model: ToyModel, tokens: np.ndarray, threads: int = 1):
-    """(u, v, y, trace, grouped) of a batch through the model.
+def _model_forward(model: ToyModel, tokens: np.ndarray, threads: int | None = 1):
+    """(u, v, y, trace, saved) of a batch through the model.
 
-    u and v are the block's input and output and y the prediction. trace is
-    the routing and grouped the saved forward of a grouped dispatch; each is
-    None where there is none (a dense model; grouped also on the per-expert
-    path).
+    u and v are the block's input and output and y the prediction; trace is
+    the routing, None for a dense model. A MoE block runs through
+    dispatch_batch on ``threads`` threads, or, with threads None, as
+    training runs it: through dispatch_whole, with saved its forward for
+    grouped_backward. saved is None otherwise. The bits are the same.
     """
     u = mm(tokens, model.input_w.T) + model.input_b
     if model.kind == "dense":
-        v, trace, grouped = ffn_forward_batch(model.block, u), None, None
+        v, trace, saved = ffn_forward_batch(model.block, u), None, None
+    elif threads is None:
+        v, trace, saved = dispatch_whole(model.block, u)
     else:
-        dispatched = dispatch_batch(model.block, u, threads)
-        (v, trace), grouped = dispatched, dispatched.grouped
+        (v, trace), saved = dispatch_batch(model.block, u, threads), None
     y = mm(v, model.head_w.T) + model.head_b
-    return u, v, y, trace, grouped
+    return u, v, y, trace, saved
 
 
 def model_predict(model: ToyModel, tokens: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -297,8 +298,7 @@ def _parameters(model: ToyModel):
     yield "input_b", "map", model.input_b
 
 
-def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
-                   alpha: float, threads: int = 1):
+def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alpha: float):
     """Forward + backward over one batch.
 
     Returns (grads, task mse, balance loss, trace); grads maps every name of
@@ -307,7 +307,7 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
     only, assignment fractions frozen at their batch values. The map
     gradient takes the balance loss's path through the router scores too.
     """
-    u, v, y, trace, grouped = _model_forward(model, tokens, threads)
+    u, v, y, trace, saved = _model_forward(model, tokens, None)
     diff = y - targets
     mse = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff
@@ -320,14 +320,7 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray,
         aux = 0.0
     else:
         layer = model.block
-        # The path dispatch_batch took forward, with its ascending-expert adds.
-        if grouped is not None:
-            g, du = grouped_backward(layer.experts, grouped, dv)
-        else:
-            g, du = FfnGrads.zeros(layer.experts), np.zeros_like(u)
-            for e, idx in group_by_expert(trace.selected, layer.config.n_experts).nonempty():
-                g[e], du_e = ffn_backward_batch(layer.experts[e], u[idx], dv[idx])
-                add_rows(du, idx, du_e)
+        g, du = grouped_backward(layer.experts, saved, dv)
         grads.update(_ffn_named("experts", g))
         aux = load_balance_loss(trace)
         grads["router.w_r"], grads["router.b_r"], d_logits = balance_loss_backward(trace, u, alpha)
@@ -421,7 +414,7 @@ def _train_loop(task, model, cfg: TrainConfig, with_aux: bool):
     best = math.inf
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
-        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha, cfg.threads)
+        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
         _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha) if with_aux else mse, step)
         _apply_updates(model, grads, trace, cfg, opt)
         probe = _probe_loss(model, probe_tokens, probe_targets, cfg.threads)
@@ -525,9 +518,10 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
                         batch: int, max_tries: int = 64):
     """Build a random moe toy model + batch with safe margins.
 
-    Rejects draws whose routing margin (k-th vs (k+1)-th score) falls under
-    1e-4 or whose selected-expert preactivations sit within 1e-3 of the relu
-    kink, both of which would make finite differences unreliable.
+    Rejects draws whose routing margin (k-th vs (k+1)-th score, if some
+    expert is left out) falls under 1e-4 or whose selected-expert
+    preactivations sit within 1e-3 of the relu kink, both of which would
+    make finite differences unreliable.
     """
     token_dim, hidden_dim, n_replicas, granularity = dims
     for _ in range(max_tries):
@@ -550,16 +544,13 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         tokens = sub.normal(size=(batch, token_dim))
         targets = sub.normal(size=(batch, token_dim))
 
-        u, _, _, trace, _ = _model_forward(model, tokens)
-        ranked = np.sort(trace.scores, axis=1)[:, ::-1]
-        margin = float(np.min(ranked[:, moe_cfg.top_k - 1] - ranked[:, moe_cfg.top_k]))
-        if margin < 1e-4:
-            continue
-        kink = math.inf
-        for e, idx in group_by_expert(trace.selected, moe_cfg.n_experts).nonempty():
-            z1 = mm(u[idx], layer.experts[e].w1.T) + layer.experts[e].b1
-            kink = min(kink, float(np.min(np.abs(z1))))
-        if kink < 1e-3:
+        _, _, _, trace, saved = _model_forward(model, tokens, None)
+        # with every expert selected no score can overtake another
+        if moe_cfg.top_k < moe_cfg.n_experts:
+            ranked = np.sort(trace.scores, axis=1)[:, ::-1]
+            if np.min(ranked[:, moe_cfg.top_k - 1] - ranked[:, moe_cfg.top_k]) < 1e-4:
+                continue
+        if min(np.min(np.abs(saved.z1[rows]), initial=math.inf) for _, rows in saved.blocks.slots) < 1e-3:
             continue
         return model, tokens, targets
     raise RuntimeError(f"gradcheck: could not build a well-margined instance for dims {dims}")

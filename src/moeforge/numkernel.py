@@ -35,12 +35,13 @@ platform at ~10x the cost.
 :func:`mm_grouped` makes the same gemm calls for many experts at once: one
 ``np.matmul`` over a ``(G, ROW_BLOCK, n)`` stack of row blocks against a
 ``(G, n, p)`` stack of each block's own weight, so block g is bitwise
-``mm`` of that block and weight. A small dispatch routes its expert
-products through it: the forward's two layers and the backward's ``dz1``
-and ``dx``. Every other product goes through :func:`mm`: the router, the
-input map and head, the per-expert weight gradients (which reduce over an
-expert's token count, so padding would change them), and the expert
-products of a large dispatch and of the per-token loop. The import probe
+``mm`` of that block and weight. Dispatch routes its expert products
+through it wherever the weights are small enough to gather, and so does the
+training backward for ``dz1`` and ``dx``. Every other product goes through
+:func:`mm`: the router, the input map and head, the per-expert weight
+gradients (which reduce over an expert's token count, so padding would
+change them), the expert products of large-weight experts (one call per
+expert) and those of the per-token loop. The import probe
 checks the grouped call block by block against :func:`mm`'s kernel, under
 either kernel (under the einsum fallback the grouped call is an
 ``np.einsum`` too). If it fails, the grouped call makes one kernel call per

@@ -61,6 +61,14 @@ class TestConfigLoading:
             load_config(path)
         assert "task.n_patterns" in str(exc.value)
 
+    @pytest.mark.parametrize("key", ["task.n_patterns", "train.probe_tokens", "train.eval_tokens"])
+    def test_size_below_one_names_its_key(self, tmp_path, key):
+        section, name = key.split(".")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {name: 0}}))
+        with pytest.raises(ConfigError, match=f"'{key}' must be >= 1, got 0"):
+            load_config(path)
+
     def test_trainable_subkeys_checked(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"train": {"trainable": {"decoder": True}}}))
@@ -178,6 +186,19 @@ class TestTuneCommand:
         assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
         assert "config error: moe.top_k 1 is below moe.granularity 2" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "ablate"])
+    @pytest.mark.parametrize("top_k", [3, 4])
+    def test_top_k_above_granularity_exits_2_before_any_work(self, tmp_path, pretrained, capsys, command, top_k):
+        # past one replica's g slices, the picks add a second replica's
+        # slices to the base output, so step 0 could never reproduce it
+        ckpt, _ = pretrained
+        config = write_config(tmp_path, {"moe": {"top_k": top_k}}, name=f"k{top_k}.json")
+        capsys.readouterr()
+        out = tmp_path / f"k{top_k}"
+        assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
+        assert f"config error: moe.top_k {top_k} is above moe.granularity 2" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
 
     def test_internal_shape_error_exits_6(self, tmp_path, pretrained, capsys, monkeypatch):
         ckpt, config = pretrained
@@ -322,14 +343,20 @@ class TestGradcheckCommand:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sizes", ["2x2x1x2", "1x1x1x1"])
+    def test_every_expert_selected(self, capsys, sizes):
+        # with top_k = n_experts no routing can flip: there is no margin to check
+        assert main(["gradcheck", "--sizes", sizes]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_oversized_sizes_rejected(self):
         assert main(["gradcheck", "--sizes", "128x256x4x2"]) == 2
 
     def test_corrupted_backward_exits_5(self, capsys, monkeypatch):
         real = moeforge.harness._collect_grads
 
-        def corrupted(model, tokens, targets, alpha, threads=1):
-            grads, mse, aux, trace = real(model, tokens, targets, alpha, threads)
+        def corrupted(model, tokens, targets, alpha):
+            grads, mse, aux, trace = real(model, tokens, targets, alpha)
             grads["router.w_r"] = grads["router.w_r"] + 0.05
             return grads, mse, aux, trace
 

@@ -15,12 +15,22 @@ from moeforge.numkernel import ShapeError, make_rng
 from conftest import random_ffn, random_layer
 
 
-def _per_expert_batch(cfg):
-    """Token count of a batch whose workspace is above the grouping cap."""
-    n = 64
-    while moe._grouped_workspace(n, cfg) <= moe.GROUPED_WORKSPACE:
-        n *= 2
-    return n
+def _record_chunks(monkeypatch, cap):
+    """Set dispatch's chunk cap to ``cap`` elements; return the list each call's chunks are appended to.
+
+    Each entry is (max_rows, runs) of one row_blocks call.
+    """
+    monkeypatch.setattr(moe, "CHUNK_ELEMENTS", cap)
+    calls = []
+    real = moe.row_blocks
+
+    def recording(groups, top_k, max_rows=None):
+        runs = real(groups, top_k, max_rows)
+        calls.append((max_rows, runs))
+        return runs
+
+    monkeypatch.setattr(moe, "row_blocks", recording)
+    return calls
 
 
 def _assert_identical(a, b):
@@ -82,30 +92,32 @@ def test_thread_count_does_not_change_bits(threads, rng):
 def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
     get, put = numkernel._openblas_thread_calls()
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2)
-    tokens = rng.normal(size=(40, cfg.token_dim))
-    real = moe.ffn_forward_batch
+    tokens = rng.normal(size=(200, cfg.token_dim))
+    chunks = _record_chunks(monkeypatch, 2**10)
+    real = moe.grouped_forward
     seen = []
 
-    def spy(p, x):
+    def spy(experts, x, blocks):
         seen.append(get())
-        return real(p, x)
+        return real(experts, x, blocks)
 
-    def failing(p, x):
+    def failing(experts, x, blocks):
         raise RuntimeError("expert failed")
 
     previous = get()
     put(2)
     try:
         outer = get()
-        monkeypatch.setattr(moe, "ffn_forward_batch", spy)
+        monkeypatch.setattr(moe, "grouped_forward", spy)
         dispatch_batch(layer, tokens, threads=2)
-        assert seen and set(seen) == {1}
+        assert len(chunks[-1][1]) > 1 and len(seen) == len(chunks[-1][1])
+        assert set(seen) == {1}
         assert get() == outer
         seen.clear()
-        # one thread: per-expert calls only above the grouping cap
-        dispatch_batch(layer, rng.normal(size=(_per_expert_batch(cfg), cfg.token_dim)), threads=1)
+        # one thread: the chunks run on the calling thread, with BLAS as it was
+        dispatch_batch(layer, tokens, threads=1)
         assert seen and set(seen) == {outer}
-        monkeypatch.setattr(moe, "ffn_forward_batch", failing)
+        monkeypatch.setattr(moe, "grouped_forward", failing)
         with pytest.raises(RuntimeError, match="expert failed"):
             dispatch_batch(layer, tokens, threads=2)
         assert get() == outer
@@ -114,45 +126,68 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
 
 
 def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
-    # low expert indices finish last; results must still be added in
+    # chunks of low experts finish last; they must still be added in
     # ascending expert order, so the bits match one thread and the loop
     # (with two experts a token, any order gives the same bits; five do not)
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=5, perturb=0.5)
     tokens = rng.normal(size=(97, cfg.token_dim)) * 100.0
     reference = dispatch_batch(layer, tokens, threads=1)
-    real = moe.ffn_forward_batch
+    chunks = _record_chunks(monkeypatch, 2**10)
+    real = moe.grouped_forward
 
-    def late_for_low_experts(p, x):
-        # p is a fresh view on every call: find its row of the expert stack
-        e = next(e for e in range(cfg.n_experts) if np.shares_memory(p.w1, layer.experts.w1[e]))
-        time.sleep(0.002 * (cfg.n_experts - e))
-        return real(p, x)
+    def late_for_low_experts(experts, x, blocks):
+        time.sleep(0.002 * (cfg.n_experts - blocks.first))
+        return real(experts, x, blocks)
 
-    monkeypatch.setattr(moe, "ffn_forward_batch", late_for_low_experts)
+    monkeypatch.setattr(moe, "grouped_forward", late_for_low_experts)
     out = dispatch_batch(layer, tokens, threads=4)
+    assert len(chunks[-1][1]) > 2
     _assert_identical(out, reference)
     _assert_identical(out, dispatch_loop(layer, tokens))
 
 
+def _cast_layer(layer, dtype):
+    e, r = layer.experts, layer.router
+    return MoeLayer(layer.config, FfnParams(*(a.astype(dtype) for a in (e.w1, e.b1, e.w2, e.b2)), e.activation),
+                    RouterParams(r.w_r.astype(dtype), r.b_r.astype(dtype)))
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_grouped_rows_equal_per_expert_rows(rng, dtype):
-    # one layer: a batch above the workspace cap takes the per-expert path,
-    # its first rows alone take the grouped path (or, given a pool, the
-    # per-expert path again), and the rows agree
+def test_chunked_rows_equal_rows_dispatched_alone(rng, monkeypatch, dtype):
+    # a batch cut into several chunks gives its first rows the bits those
+    # rows get dispatched alone, in fewer chunks, on one thread or a pool
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=3, perturb=0.5)
-    e = layer.experts
-    layer = MoeLayer(cfg, FfnParams(*(a.astype(dtype) for a in (e.w1, e.b1, e.w2, e.b2)), e.activation),
-                     RouterParams(layer.router.w_r.astype(dtype), layer.router.b_r.astype(dtype)))
-    tokens = rng.normal(size=(_per_expert_batch(cfg), cfg.token_dim)).astype(dtype)
+    layer = _cast_layer(layer, dtype)
+    tokens = rng.normal(size=(2000, cfg.token_dim)).astype(dtype)
+    chunks = _record_chunks(monkeypatch, 2**15)
     whole = dispatch_batch(layer, tokens)
     first = dispatch_batch(layer, tokens[:300])
-    assert whole.grouped is None and first.grouped is not None
+    assert len(chunks[0][1]) > len(chunks[1][1]) > 1
     assert first[0].dtype == dtype
     head = RoutingTrace(cfg.top_k, whole[1].scores[:300], whole[1].selected[:300])
     _assert_identical(first, (whole[0][:300], head))
-    pooled = dispatch_batch(layer, tokens[:300], threads=2)
-    assert pooled.grouped is None
-    _assert_identical(pooled, first)
+    _assert_identical(dispatch_batch(layer, tokens[:300], threads=2), first)
+
+
+# (token_dim, hidden_dim, n_replicas, granularity, top_k): tiny experts whose
+# products gather their weights, and experts too wide to gather, which take
+# one product each.
+@pytest.mark.parametrize("shape", [(6, 12, 4, 3, 4), (3, 10, 2, 5, 3), (160, 320, 2, 2, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_chunk_boundaries_equal_the_loop(monkeypatch, shape, dtype):
+    token_dim, hidden_dim, n_replicas, granularity, top_k = shape
+    rng = make_rng(sum(shape))
+    layer, _, cfg = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k, perturb=0.5)
+    # expert 1 takes every token, and its 300 rows alone outgrow a chunk
+    layer.router.b_r[1] += 50.0
+    layer = _cast_layer(layer, dtype)
+    tokens = rng.normal(size=(300, token_dim)).astype(dtype)
+    reference = dispatch_loop(layer, tokens)
+    chunks = _record_chunks(monkeypatch, 2**11)
+    for threads in (1, 2, 8):
+        _assert_identical(dispatch_batch(layer, tokens, threads), reference)
+    max_rows, runs = chunks[0]
+    assert len(runs) > 2 and max_rows < 300
 
 
 def test_no_slot_sized_buffer():

@@ -340,12 +340,13 @@ def _collect_grads_reference(model, tokens, targets, alpha):
 
 # (token_dim, hidden_dim, n_replicas, granularity), top_k, tokens: the default
 # shape; 3 tokens on 16 experts, which leaves experts empty; top_k = n_experts;
-# a batch above dispatch's grouping cap, which takes the per-expert backward.
+# a large batch. Training lays a batch out as one chunk whatever the thread
+# count; its forward must be dispatch_batch's at that count, bit for bit.
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("dims,top_k,n_tokens", [((6, 12, 2, 2), 0, 45), ((8, 16, 4, 4), 2, 3),
                                                  ((5, 8, 3, 2), 6, 45), ((6, 12, 2, 2), 0, 4096)])
 def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, threads):
-    from moeforge.harness import ToyModel, _collect_grads
+    from moeforge.harness import ToyModel, _collect_grads, _model_forward
 
     token_dim, hidden_dim, n_replicas, granularity = dims
     rng = make_rng(31)
@@ -354,7 +355,11 @@ def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, thr
     model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
     tokens = rng.normal(size=(n_tokens, token_dim))
     targets = rng.normal(size=(n_tokens, token_dim))
-    grads, _, _, _ = _collect_grads(model, tokens, targets, 0.01, threads)
+    grads, _, _, _ = _collect_grads(model, tokens, targets, 0.01)
+    _, v, y, trace, _ = _model_forward(model, tokens, None)
+    _, v_t, y_t, trace_t, _ = _model_forward(model, tokens, threads)
+    assert v.tobytes() == v_t.tobytes() and y.tobytes() == y_t.tobytes()
+    assert np.array_equal(trace.selected, trace_t.selected) and trace.scores.tobytes() == trace_t.scores.tobytes()
     experts, map_w, map_b = _collect_grads_reference(model, tokens, targets, 0.01)
     assert (None in experts) == (n_tokens * cfg.top_k < cfg.n_experts)
     for field in ("w1", "b1", "w2", "b2"):
@@ -499,8 +504,8 @@ class TestGradcheck:
     def test_corrupted_gradients_fail(self):
         from moeforge.harness import _collect_grads
 
-        def corrupted(model, tokens, targets, alpha, threads=1):
-            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha, threads)
+        def corrupted(model, tokens, targets, alpha):
+            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha)
             grads["head_w"] = grads["head_w"] * 1.5
             return grads, mse, aux, trace
 
@@ -512,8 +517,8 @@ class TestGradcheck:
     def test_worst_offender_indexes_the_expert_stack(self):
         from moeforge.harness import _collect_grads
 
-        def corrupted(model, tokens, targets, alpha, threads=1):
-            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha, threads)
+        def corrupted(model, tokens, targets, alpha):
+            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha)
             grads["experts.w1"] = grads["experts.w1"] + 0.05
             return grads, mse, aux, trace
 
