@@ -249,11 +249,10 @@ class TuneResult:
 def _model_forward(model: ToyModel, tokens: np.ndarray, threads: int | None = 1):
     """(u, v, y, trace, saved) of a batch through the model.
 
-    u and v are the block's input and output and y the prediction; trace is
-    the routing, None for a dense model. A MoE block runs through
-    dispatch_batch on ``threads`` threads, or, with threads None, as
-    training runs it: through dispatch_whole, with saved its forward for
-    grouped_backward. saved is None otherwise. The bits are the same.
+    u and v are the block's input and output, y the prediction and trace the
+    routing (None for a dense model). A MoE block runs through dispatch_batch
+    on ``threads`` threads or, with threads None, as training runs it, through
+    dispatch_whole, whose forward for grouped_backward is saved (else None).
     """
     u = mm(tokens, model.input_w.T) + model.input_b
     if model.kind == "dense":
