@@ -653,16 +653,16 @@ def total_loss(task: float, aux: float, alpha: float = 0.01) -> float:
 def balance_loss_backward(trace: RoutingTrace, tokens: np.ndarray, aux_weight: float):
     """Exact gradient of aux_weight * load_balance_loss(trace) through the router.
 
-    Assignment fractions are held constant; only the score means
-    differentiate. Returns (d w_r, d b_r, d logits); ``mm(d_logits, w_r)``
-    is the loss's gradient with respect to the tokens.
+    Assignment fractions are held constant, at the scores' dtype; only the
+    score means differentiate. Returns (d w_r, d b_r, d logits);
+    ``mm(d_logits, w_r)`` is the loss's gradient with respect to the tokens.
     """
     tokens = np.asarray(tokens)
     if trace.n_tokens < 1:
         raise ValueError("balance_loss_backward: empty trace")
     if tokens.shape[0] != trace.n_tokens:
         raise ShapeError("balance_loss_backward", tokens.shape, trace.scores.shape)
-    f = assignment_fractions(trace)
+    f = assignment_fractions(trace).astype(trace.scores.dtype, copy=False)
     w = (aux_weight * trace.n_experts / trace.n_tokens) * f
     s = trace.scores
     inner = np.sum(s * w, axis=1, keepdims=True)

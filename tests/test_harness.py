@@ -590,3 +590,21 @@ class TestParameterTable:
                 assert opt.t[name] == 1
         assert sorted(k for k in opt.t if k.startswith("experts.")) == [
             "experts.b1", "experts.b2", "experts.w1", "experts.w2"]
+
+
+def test_f32_gradients_and_adamw_moments_keep_the_model_dtype():
+    # the router gradient scales float32 scores by the assignment fractions,
+    # which must not widen it to float64
+    from moeforge.harness import ToyModel, _AdamW, _apply_updates, _collect_grads
+
+    base = init_toy_model(6, 12, seed=4, dtype=np.float32)
+    layer = expand_supernet(base.block, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=3, granularity=2, seed=4))
+    model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
+    rng = make_rng(4)
+    tokens, targets = (rng.normal(size=(40, 6)).astype(np.float32) for _ in range(2))
+    grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
+    assert {name: g.dtype for name, g in grads.items()} == {name: np.dtype(np.float32) for name in grads}
+    opt = _AdamW()
+    cfg = TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw", trainable_map=True)
+    _apply_updates(model, grads, trace, cfg, opt)
+    assert len(opt.m) == len(grads) and all(a.dtype == np.float32 for a in (*opt.m.values(), *opt.v.values()))
