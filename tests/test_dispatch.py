@@ -94,30 +94,30 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2)
     tokens = rng.normal(size=(200, cfg.token_dim))
     chunks = _record_chunks(monkeypatch, 2**10)
-    real = moe.grouped_forward
+    real = moe._expert_products
     seen = []
 
-    def spy(experts, x, blocks):
+    def spy(a, w, b, blocks):
         seen.append(get())
-        return real(experts, x, blocks)
+        return real(a, w, b, blocks)
 
-    def failing(experts, x, blocks):
+    def failing(a, w, b, blocks):
         raise RuntimeError("expert failed")
 
     previous = get()
     put(2)
     try:
         outer = get()
-        monkeypatch.setattr(moe, "grouped_forward", spy)
+        monkeypatch.setattr(moe, "_expert_products", spy)
         dispatch_batch(layer, tokens, threads=2)
-        assert len(chunks[-1][1]) > 1 and len(seen) == len(chunks[-1][1])
+        assert len(chunks[-1][1]) > 1 and len(seen) == 2 * len(chunks[-1][1])
         assert set(seen) == {1}
         assert get() == outer
         seen.clear()
         # one thread: the chunks run on the calling thread, with BLAS as it was
         dispatch_batch(layer, tokens, threads=1)
         assert seen and set(seen) == {outer}
-        monkeypatch.setattr(moe, "grouped_forward", failing)
+        monkeypatch.setattr(moe, "_expert_products", failing)
         with pytest.raises(RuntimeError, match="expert failed"):
             dispatch_batch(layer, tokens, threads=2)
         assert get() == outer
@@ -133,13 +133,13 @@ def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     tokens = rng.normal(size=(97, cfg.token_dim)) * 100.0
     reference = dispatch_batch(layer, tokens, threads=1)
     chunks = _record_chunks(monkeypatch, 2**10)
-    real = moe.grouped_forward
+    real = moe._expert_products
 
-    def late_for_low_experts(experts, x, blocks):
+    def late_for_low_experts(a, w, b, blocks):
         time.sleep(0.002 * (cfg.n_experts - blocks.first))
-        return real(experts, x, blocks)
+        return real(a, w, b, blocks)
 
-    monkeypatch.setattr(moe, "grouped_forward", late_for_low_experts)
+    monkeypatch.setattr(moe, "_expert_products", late_for_low_experts)
     out = dispatch_batch(layer, tokens, threads=4)
     assert len(chunks[-1][1]) > 2
     _assert_identical(out, reference)
