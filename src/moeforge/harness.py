@@ -357,7 +357,7 @@ class _AdamW:
         # Python's beta**t for each count: 1 - np.power(0.999, t) rounds some t differently
         c1, c2 = (np.array([1 - b**s for s in np.ravel(t[live]).tolist()], param.dtype)
                   .reshape((-1,) + (1,) * (param.ndim - 1)) for b in (self.beta1, self.beta2))
-        # in place, on the moments' dtype
+        # in place, so the moments keep their dtype whatever the gradient's
         g, m_live, v_live = grad[live], m[live], v[live]
         m_live *= self.beta1
         m_live += (1 - self.beta1) * g

@@ -450,7 +450,7 @@ def row_blocks(groups: ExpertGroups, top_k: int, max_rows: int | None = None) ->
     block_expert = np.repeat(np.arange(len(counts)), blocks)
     # One run, such as a training batch or a tune's probe, takes each slot's
     # rows from the token-major order: a default tune step with its probe
-    # ran 1.02-1.35x (median 1.2x) faster so than through the sort (2 vCPUs).
+    # ran 1.02-1.35x (median 1.2x) faster this way than through the sort (2 vCPUs).
     if max_rows is None or starts[-1] < max_rows:
         pos = np.empty(len(rows), dtype=np.intp)
         pos[groups.order] = rows
