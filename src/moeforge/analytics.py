@@ -109,9 +109,9 @@ def pattern_specialization(trace: RoutingTrace, labels) -> float:
     return float(min(max(nmi, 0.0), 1.0))
 
 
-def mean_partner_count(matrix: CoSelectionMatrix, min_strength: float = 0.0) -> float:
-    """Average number of distinct partners per expert with co-selection above a floor."""
-    partners = (matrix.values > min_strength).sum(axis=1)
+def mean_partner_count(matrix: CoSelectionMatrix) -> float:
+    """Average number of distinct partners per expert: the experts it was ever selected with."""
+    partners = (matrix.values > 0).sum(axis=1)
     return float(partners.mean()) if matrix.size else 0.0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,8 +35,6 @@ from .analytics import (
 )
 from .ffn import ffn_forward_batch, init_ffn
 from .harness import (
-    STAGE_MOE_TUNE,
-    STAGE_PRETRAIN,
     DivergenceError,
     IdentityViolation,
     ToyModel,
@@ -61,15 +58,14 @@ from .serialize import (
     write_trace_jsonl,
 )
 
-ENV_THREADS = "MOEFORGE_THREADS"
-
-
 class ConfigError(ValueError):
     """Invalid or malformed run configuration; message names the offending path."""
 
 
-# The moe and train defaults are the dataclasses' own. The section seeds are
-# the CLI's, so that each random stream gets a seed of its own.
+# Each section's keys are the keyword arguments of the constructor it feeds:
+# make_task, init_toy_model, MoeConfig and TrainConfig. The moe and train
+# defaults are the dataclasses' own. The section seeds are the CLI's, so that
+# each random stream gets a seed of its own.
 _NUMBER = (int, float)
 _SCHEMA = {
     "task": {
@@ -166,13 +162,9 @@ def _apply_seed_override(cfg: dict, seed: int | None) -> dict:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        threads = args.threads
-    else:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _dtype_of(args):
@@ -218,43 +210,18 @@ def _write_curves_csv(path, curves: list[dict]) -> None:
             f.write(",".join(repr(row[c]) if c != "step" else str(row[c]) for c in columns) + "\n")
 
 
-def _build_task_and_train(cfg: dict, args, stage: str):
-    dtype = _dtype_of(args)
-    task = make_task(
-        n_patterns=cfg["task"]["n_patterns"],
-        token_dim=cfg["task"]["token_dim"],
-        noise_std=cfg["task"]["noise_std"],
-        seed=cfg["task"]["seed"],
-        center_scale=cfg["task"]["center_scale"],
-        dtype=dtype,
-    )
-    trainable = cfg["train"]["trainable"]
-    train_cfg = TrainConfig(
-        lr=cfg["train"]["lr"],
-        lr_head=cfg["train"]["lr_head"],
-        lr_router=cfg["train"]["lr_router"],
-        steps=cfg["train"]["steps"],
-        batch=cfg["train"]["batch"],
-        alpha=cfg["train"]["alpha"],
-        stage=stage,
-        optimizer=cfg["train"]["optimizer"],
-        trainable_moe=trainable["moe"],
-        trainable_head=trainable["head"],
-        trainable_map=trainable["map"],
-        eval_tokens=cfg["train"]["eval_tokens"],
-        probe_tokens=cfg["train"]["probe_tokens"],
-        threads=_resolve_threads(args),
-        seed=cfg["train"]["seed"],
-        identity_tol=1e-4 if getattr(args, "f32", False) else 1e-9,
-    )
-    return task, train_cfg
+def _build_task_and_train(cfg: dict, args):
+    train = dict(cfg["train"])
+    trainable = train.pop("trainable")
+    task = make_task(**cfg["task"], dtype=_dtype_of(args))
+    return task, TrainConfig(**train, trainable_moe=trainable["moe"], trainable_head=trainable["head"],
+                             trainable_map=trainable["map"], threads=_resolve_threads(args))
 
 
 def cmd_pretrain(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
-    task, train_cfg = _build_task_and_train(cfg, args, STAGE_PRETRAIN)
-    model = init_toy_model(cfg["task"]["token_dim"], cfg["model"]["hidden_dim"],
-                           cfg["model"]["seed"], cfg["model"]["activation"], _dtype_of(args))
+    task, train_cfg = _build_task_and_train(cfg, args)
+    model = init_toy_model(cfg["task"]["token_dim"], **cfg["model"], dtype=_dtype_of(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = pretrain(task, model, train_cfg)
@@ -264,22 +231,30 @@ def cmd_pretrain(args) -> int:
     write_summary_json(out / "metrics.json", {
         "mse": result.final_eval.mse,
         "steps": train_cfg.steps,
-        "stage": STAGE_PRETRAIN,
+        "stage": "pretrain",
     })
     print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {out}")
     return 0
 
 
-def _load_base(path, cfg: dict) -> ToyModel:
-    """The dense base checkpoint at path, checked against the config's dims."""
+def _load_base(path, cfg: dict, args) -> ToyModel:
+    """The dense base checkpoint at path, checked against the config and the run's dtype."""
     base = load_toy_model(path)
     if base.kind != "dense":
         raise ConfigError(f"{path}: base checkpoint must hold a dense model")
-    if base.token_dim != cfg["task"]["token_dim"] or base.block.hidden_dim != cfg["model"]["hidden_dim"]:
+    block = base.block
+    if base.token_dim != cfg["task"]["token_dim"] or block.hidden_dim != cfg["model"]["hidden_dim"]:
         raise ConfigError(
-            f"{path}: checkpoint dims ({base.token_dim}, {base.block.hidden_dim}) "
+            f"{path}: checkpoint dims ({base.token_dim}, {block.hidden_dim}) "
             f"do not match config ({cfg['task']['token_dim']}, {cfg['model']['hidden_dim']})"
         )
+    if block.activation != cfg["model"]["activation"]:
+        raise ConfigError(f"{path}: checkpoint activation {block.activation} "
+                          f"does not match config model.activation {cfg['model']['activation']}")
+    dtype = np.dtype(_dtype_of(args))
+    if block.w1.dtype != dtype:
+        raise ConfigError(f"{path}: checkpoint dtype {block.w1.dtype} does not match the run's {dtype} "
+                          f"(--f32 runs float32)")
     return base
 
 
@@ -291,14 +266,8 @@ def _moe_config(cfg: dict) -> MoeConfig:
     the step-0 identity check always fails, and with more the extra picks
     add another replica's slices. Either config is rejected up front.
     """
-    moe_cfg = MoeConfig(
-        token_dim=cfg["task"]["token_dim"],
-        hidden_dim=cfg["model"]["hidden_dim"],
-        n_replicas=cfg["moe"]["n_replicas"],
-        granularity=cfg["moe"]["granularity"],
-        top_k=cfg["moe"]["top_k"],
-        seed=cfg["moe"]["seed"],
-    )
+    moe_cfg = MoeConfig(token_dim=cfg["task"]["token_dim"], hidden_dim=cfg["model"]["hidden_dim"],
+                        **cfg["moe"])
     k, g = moe_cfg.top_k, moe_cfg.granularity
     if k != g:
         raise ConfigError(f"moe.top_k {k} is {'below' if k < g else 'above'} moe.granularity {g}: "
@@ -308,8 +277,8 @@ def _moe_config(cfg: dict) -> MoeConfig:
 
 def cmd_tune(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
-    task, train_cfg = _build_task_and_train(cfg, args, STAGE_MOE_TUNE)
-    base = _load_base(args.base, cfg)
+    task, train_cfg = _build_task_and_train(cfg, args)
+    base = _load_base(args.base, cfg, args)
     moe_cfg = _moe_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,8 +298,8 @@ def cmd_tune(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
-    task, train_cfg = _build_task_and_train(cfg, args, STAGE_MOE_TUNE)
-    base = _load_base(args.base, cfg)
+    task, train_cfg = _build_task_and_train(cfg, args)
+    base = _load_base(args.base, cfg, args)
     moe_cfg = _moe_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -476,8 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="override every section seed in the config")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"dispatch thread count (default: ${ENV_THREADS} or 1)")
+    common.add_argument("--threads", type=int, default=1, help="dispatch thread count")
     common.add_argument("--f32", action="store_true", help="32-bit float mode (relaxed tolerances)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,8 +16,6 @@ from moeforge.analytics import co_selection, search_space_size
 from moeforge.cli import main as cli_main
 from moeforge.ffn import ffn_forward_batch
 from moeforge.harness import (
-    STAGE_MOE_TUNE,
-    STAGE_PRETRAIN,
     TrainConfig,
     init_toy_model,
     make_task,
@@ -60,11 +58,9 @@ def tuning_runs():
     for seed in TUNE_SEEDS:
         task = make_task(n_patterns=4, token_dim=8, noise_std=0.1, seed=seed)
         model = init_toy_model(8, 32, seed=seed)
-        pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1500, batch=64,
-                                                stage=STAGE_PRETRAIN, seed=seed))
+        pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1500, batch=64, seed=seed))
         moe_cfg = MoeConfig(token_dim=8, hidden_dim=32, n_replicas=4, granularity=2, seed=seed)
-        tune_cfg = TrainConfig(lr=0.05, steps=2500, batch=64, alpha=0.01,
-                               stage=STAGE_MOE_TUNE, seed=seed)
+        tune_cfg = TrainConfig(lr=0.05, steps=2500, batch=64, alpha=0.01, seed=seed)
         runs.append(moe_tune(task, pre.model, moe_cfg, tune_cfg))
     return runs, time.perf_counter() - t0
 

@@ -10,7 +10,7 @@ import moeforge.cli
 import moeforge.harness
 import moeforge.moe
 from moeforge import numkernel
-from moeforge.cli import default_config, load_config, main, ConfigError
+from moeforge.cli import build_parser, default_config, load_config, main, ConfigError
 from moeforge.harness import TrainConfig, init_toy_model
 from moeforge.moe import MoeConfig
 from moeforge.serialize import save_toy_model
@@ -212,6 +212,43 @@ class TestTuneCommand:
         assert code == 6
         assert capsys.readouterr().err.startswith("internal error: mm_grouped: incompatible shapes")
 
+    @pytest.mark.parametrize("key, value", [("lr_head", -1), ("lr_router", -1), ("alpha", -5)])
+    def test_negative_rate_exits_2_naming_it(self, tmp_path, pretrained, capsys, key, value):
+        # a negative rate or balance weight would climb the loss it should descend
+        ckpt, _ = pretrained
+        config = write_config(tmp_path, {"train": {key: value}}, name="negative.json")
+        capsys.readouterr()
+        out = tmp_path / "neg"
+        assert main(["tune", "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
+        assert f"{key} must be >= 0, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pretrain_flags, tune_flags, base_dtype, run_dtype", [
+        ((), ("--f32",), "float64", "float32"),
+        (("--f32",), (), "float32", "float64"),
+    ])
+    def test_base_dtype_must_match_the_run(self, tmp_path, capsys, pretrain_flags, tune_flags,
+                                           base_dtype, run_dtype):
+        _, pre, config = run_pretrain(tmp_path, extra=pretrain_flags)
+        capsys.readouterr()
+        out = tmp_path / "t"
+        code = main(["tune", "--config", str(config), "--base", str(pre / "base.ckpt"),
+                     "--out", str(out), *tune_flags])
+        assert code == 2
+        assert f"checkpoint dtype {base_dtype} does not match the run's {run_dtype}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, activation", [("tune", "gelu"), ("ablate", "tanh")])
+    def test_base_activation_must_match_the_config(self, tmp_path, pretrained, capsys, command, activation):
+        ckpt, _ = pretrained
+        config = write_config(tmp_path, {"model": {"activation": activation}}, name="act.json")
+        capsys.readouterr()
+        out = tmp_path / "act"
+        assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
+        assert (f"checkpoint activation relu does not match config model.activation {activation}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_threads_do_not_change_outputs(self, tmp_path, pretrained):
         # exit-code stability plus byte-identical metrics regardless of --threads
         ckpt, config = pretrained
@@ -225,14 +262,6 @@ class TestTuneCommand:
         for name in ("metrics.json", "curves.csv", "trace.jsonl", "loading.csv",
                      "coselection.csv", "labels.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_env_var_sets_threads(self, tmp_path, pretrained, monkeypatch):
-        ckpt, config = pretrained
-        monkeypatch.setenv("MOEFORGE_THREADS", "3")
-        out = tmp_path / "envrun"
-        code = main(["tune", "--config", str(config), "--base", str(ckpt), "--out", str(out)])
-        assert code == 0
-        assert json.loads((out / "manifest.json").read_text())["threads"] == 3
 
 
 class TestAblateCommand:
@@ -380,6 +409,42 @@ class TestDefaultConfig:
                 assert value == {part: train[f"trainable_{part}"] for part in value}
             elif key != "seed":
                 assert value == train[key], key
+
+    # every _SCHEMA key set off its default, to a legal value
+    EVERY_KEY_CHANGED = {
+        "task": {"n_patterns": 3, "token_dim": 6, "noise_std": 0.05, "center_scale": 2.5, "seed": 11},
+        "model": {"hidden_dim": 12, "activation": "gelu", "seed": 12},
+        "moe": {"n_replicas": 3, "granularity": 3, "top_k": 3, "seed": 13},
+        "train": {"lr": 0.01, "lr_head": 0.005, "lr_router": 0.02, "steps": 7, "batch": 9, "alpha": 0.5,
+                  "optimizer": "adamw", "eval_tokens": 100, "probe_tokens": 10, "seed": 14,
+                  "trainable": {"moe": False, "head": False, "map": True}},
+    }
+
+    @pytest.mark.parametrize("changed", [False, True])
+    def test_every_section_feeds_its_constructor(self, tmp_path, changed):
+        # a key the schema lists but its constructor lacks fails here, not in a user's run
+        defaults = default_config()
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(self.EVERY_KEY_CHANGED if changed else {}))
+        cfg = load_config(path)
+        if changed:
+            assert all(cfg[s][k] != v for s, keys in defaults.items() for k, v in keys.items())
+            assert all(cfg["train"]["trainable"][p] != f for p, f in defaults["train"]["trainable"].items())
+        args = build_parser().parse_args(["pretrain", "--config", str(path), "--out", str(tmp_path)])
+        task, train = moeforge.cli._build_task_and_train(cfg, args)
+        model = init_toy_model(cfg["task"]["token_dim"], **cfg["model"])
+        moe = moeforge.cli._moe_config(cfg)
+        assert (task.n_patterns, task.token_dim, task.noise_std, task.seed) == tuple(
+            cfg["task"][k] for k in ("n_patterns", "token_dim", "noise_std", "seed"))
+        assert (model.block.hidden_dim, model.block.activation) == (cfg["model"]["hidden_dim"],
+                                                                    cfg["model"]["activation"])
+        # top_k 0 tracks granularity
+        assert {k: getattr(moe, k) for k in cfg["moe"]} == {**cfg["moe"],
+                                                            "top_k": cfg["moe"]["top_k"] or moe.granularity}
+        trainable = cfg["train"]["trainable"]
+        assert {k: getattr(train, k) for k in cfg["train"] if k != "trainable"} == {
+            k: v for k, v in cfg["train"].items() if k != "trainable"}
+        assert {p: getattr(train, f"trainable_{p}") for p in trainable} == trainable
 
     def test_default_tune_runs_end_to_end_quickly(self, tmp_path):
         # the shipped defaults (8 replicas split 2 ways, alpha 0.01) must

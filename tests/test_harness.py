@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from moeforge.harness import (
-    STAGE_MOE_TUNE,
-    STAGE_PRETRAIN,
     DivergenceError,
     IdentityViolation,
     SyntheticTask,
@@ -38,7 +36,7 @@ def small_moe_cfg(seed=0):
 def small_setup():
     task = make_task(3, 6, noise_std=0.1, seed=12)
     model = init_toy_model(6, 12, seed=12)
-    cfg = TrainConfig(lr=0.05, steps=300, batch=32, stage=STAGE_PRETRAIN, seed=12,
+    cfg = TrainConfig(lr=0.05, steps=300, batch=32, seed=12,
                       eval_tokens=2000, probe_tokens=128)
     result = pretrain(task, model, cfg)
     return task, result
@@ -120,7 +118,7 @@ def test_task_needs_pattern_conditional_computation():
     assert conditional_mse < 1e-12
 
     model = init_toy_model(8, 32, seed=0)
-    cfg = TrainConfig(lr=0.05, steps=1500, batch=64, stage=STAGE_PRETRAIN, seed=0)
+    cfg = TrainConfig(lr=0.05, steps=1500, batch=64, seed=0)
     base = pretrain(task, model, cfg)
     assert base.final_eval.mse > 1e-3
 
@@ -130,15 +128,15 @@ class TestPretrain:
         # one pattern = one linear regime; the dense model must fit it well
         task = make_task(1, 4, noise_std=0.1, seed=0)
         model = init_toy_model(4, 16, seed=0)
-        cfg = TrainConfig(lr=0.01, steps=2000, batch=32, stage=STAGE_PRETRAIN,
-                          optimizer="adamw", seed=0, eval_tokens=4000)
+        cfg = TrainConfig(lr=0.01, steps=2000, batch=32, optimizer="adamw", seed=0,
+                          eval_tokens=4000)
         result = pretrain(task, model, cfg)
         assert result.final_eval.mse <= 1e-3
 
     def test_zero_lr_keeps_curve_constant(self):
         task = make_task(2, 4, seed=6)
         model = init_toy_model(4, 8, seed=6)
-        cfg = TrainConfig(lr=0.0, steps=20, batch=16, stage=STAGE_PRETRAIN, seed=6,
+        cfg = TrainConfig(lr=0.0, steps=20, batch=16, seed=6,
                           eval_tokens=500, probe_tokens=64)
         result = pretrain(task, model, cfg)
         probes = {row["probe_mse"] for row in result.curves}
@@ -148,7 +146,7 @@ class TestPretrain:
     def test_seeded_runs_identical(self, small_setup):
         task, first = small_setup
         model = init_toy_model(6, 12, seed=12)
-        cfg = TrainConfig(lr=0.05, steps=300, batch=32, stage=STAGE_PRETRAIN, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=300, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         second = pretrain(task, model, cfg)
         assert first.curves == second.curves
@@ -157,30 +155,24 @@ class TestPretrain:
     def test_divergence_aborts_with_diagnostic(self):
         task = make_task(2, 4, seed=7)
         model = init_toy_model(4, 8, seed=7)
-        cfg = TrainConfig(lr=50.0, steps=200, batch=16, stage=STAGE_PRETRAIN, seed=7)
+        cfg = TrainConfig(lr=50.0, steps=200, batch=16, seed=7)
         with pytest.raises(DivergenceError) as exc:
             pretrain(task, model, cfg)
         assert "step" in str(exc.value)
-
-    def test_stage_guard(self):
-        task = make_task(2, 4, seed=8)
-        model = init_toy_model(4, 8, seed=8)
-        with pytest.raises(ValueError):
-            pretrain(task, model, TrainConfig(stage=STAGE_MOE_TUNE))
 
     def test_input_model_not_mutated(self):
         task = make_task(2, 4, seed=9)
         model = init_toy_model(4, 8, seed=9)
         before = model.block.w1.copy()
-        pretrain(task, model, TrainConfig(lr=0.1, steps=20, batch=8, stage=STAGE_PRETRAIN,
-                                          seed=9, eval_tokens=200, probe_tokens=32))
+        pretrain(task, model, TrainConfig(lr=0.1, steps=20, batch=8, seed=9,
+                                          eval_tokens=200, probe_tokens=32))
         assert np.array_equal(model.block.w1, before)
 
 
 class TestMoeTune:
     def test_zero_steps_is_functionally_the_base(self, small_setup):
         task, pre = small_setup
-        cfg = TrainConfig(lr=0.05, steps=0, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=0, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         result = moe_tune(task, pre.model, small_moe_cfg(), cfg)
         assert abs(result.metrics["mse"] - result.metrics["base_mse"]) <= 1e-9
@@ -191,14 +183,14 @@ class TestMoeTune:
 
     def test_step0_identity_holds(self, small_setup):
         task, pre = small_setup
-        cfg = TrainConfig(lr=0.05, steps=50, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=50, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         result = moe_tune(task, pre.model, small_moe_cfg(), cfg)
         assert abs(result.metrics["step0_mse"] - result.metrics["base_mse"]) <= 1e-9
 
     def test_frozen_map_bit_identical_after_tuning(self, small_setup):
         task, pre = small_setup
-        cfg = TrainConfig(lr=0.05, steps=100, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=100, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         result = moe_tune(task, pre.model, small_moe_cfg(), cfg)
         assert result.model.input_w.tobytes() == pre.model.input_w.tobytes()
@@ -214,7 +206,7 @@ class TestMoeTune:
             return router
 
         monkeypatch.setattr(moeforge.moe, "init_router", skewed)
-        cfg = TrainConfig(lr=0.05, steps=10, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=10, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         with pytest.raises(IdentityViolation):
             moe_tune(task, pre.model, small_moe_cfg(), cfg)
@@ -222,25 +214,18 @@ class TestMoeTune:
     def test_alpha_sweep_loading_non_increasing(self):
         task = make_task(4, 8, noise_std=0.1, seed=3)
         model = init_toy_model(8, 32, seed=3)
-        pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1200, batch=64,
-                                                stage=STAGE_PRETRAIN, seed=3))
+        pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1200, batch=64, seed=3))
         moe_cfg = MoeConfig(token_dim=8, hidden_dim=32, n_replicas=4, granularity=2, seed=3)
         maxes = []
         for alpha in (0.0, 0.01, 1.0):
-            cfg = TrainConfig(lr=0.05, steps=2000, batch=64, alpha=alpha,
-                              stage=STAGE_MOE_TUNE, seed=3)
+            cfg = TrainConfig(lr=0.05, steps=2000, batch=64, alpha=alpha, seed=3)
             maxes.append(moe_tune(task, pre.model, moe_cfg, cfg).metrics["max_loading"])
         assert maxes[0] >= maxes[1] >= maxes[2]
-
-    def test_moe_stage_guard(self, small_setup):
-        task, pre = small_setup
-        with pytest.raises(ValueError):
-            moe_tune(task, pre.model, small_moe_cfg(), TrainConfig(stage=STAGE_PRETRAIN))
 
     def test_base_model_untouched(self, small_setup):
         task, pre = small_setup
         before = pre.model.head_w.copy()
-        cfg = TrainConfig(lr=0.1, steps=40, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.1, steps=40, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         moe_tune(task, pre.model, small_moe_cfg(), cfg)
         assert np.array_equal(pre.model.head_w, before)
@@ -249,7 +234,7 @@ class TestMoeTune:
 class TestAblation:
     def test_rows_match_combos_and_all_frozen_equals_base(self, small_setup):
         task, pre = small_setup
-        cfg = TrainConfig(lr=0.05, steps=30, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.05, steps=30, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         combos = ((), ("moe",), ("moe", "head"))
         rows = ablate_tuning_subsets(task, pre.model, small_moe_cfg(), cfg, combos=combos)
@@ -263,10 +248,9 @@ class TestAblation:
         for seed in range(5):
             task = make_task(4, 8, noise_std=0.1, seed=seed)
             model = init_toy_model(8, 32, seed=seed)
-            pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1200, batch=64,
-                                                    stage=STAGE_PRETRAIN, seed=seed))
+            pre = pretrain(task, model, TrainConfig(lr=0.05, steps=1200, batch=64, seed=seed))
             moe_cfg = MoeConfig(token_dim=8, hidden_dim=32, n_replicas=4, granularity=2, seed=seed)
-            cfg = TrainConfig(lr=0.05, steps=1500, batch=64, stage=STAGE_MOE_TUNE, seed=seed)
+            cfg = TrainConfig(lr=0.05, steps=1500, batch=64, seed=seed)
             rows = ablate_tuning_subsets(task, pre.model, moe_cfg, cfg,
                                          combos=(("moe",), ("moe", "head")))
             wins += rows[1]["mse"] <= rows[0]["mse"]
@@ -276,7 +260,7 @@ class TestAblation:
         task, pre = small_setup
         with pytest.raises(ValueError):
             ablate_tuning_subsets(task, pre.model, small_moe_cfg(),
-                                  TrainConfig(stage=STAGE_MOE_TUNE), combos=(("decoder",),))
+                                  TrainConfig(), combos=(("decoder",),))
 
 
 class TestEvaluateAndFlags:
@@ -288,7 +272,7 @@ class TestEvaluateAndFlags:
 
     def test_frozen_moe_flag_keeps_experts(self, small_setup):
         task, pre = small_setup
-        cfg = TrainConfig(lr=0.1, steps=30, batch=32, stage=STAGE_MOE_TUNE, seed=12,
+        cfg = TrainConfig(lr=0.1, steps=30, batch=32, seed=12,
                           trainable_moe=False, eval_tokens=2000, probe_tokens=128)
         result = moe_tune(task, pre.model, small_moe_cfg(), cfg)
         base_slices = result.metrics["base_mse"]
@@ -308,8 +292,6 @@ class TestTrainConfig:
             TrainConfig(lr=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(steps=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(stage="warmup")
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
 
@@ -423,8 +405,7 @@ def test_stacked_step_bitwise_equals_per_expert_optimizer(optimizer, dtype):
             a += (0.3 * rng.normal(size=a.shape)).astype(dtype)
     model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
     ref = model.copy()
-    train = TrainConfig(lr=0.05, lr_head=0.02, lr_router=0.1, stage=STAGE_MOE_TUNE,
-                        optimizer=optimizer, trainable_map=True)
+    train = TrainConfig(lr=0.05, lr_head=0.02, lr_router=0.1, optimizer=optimizer, trainable_map=True)
     lr = {"experts": 0.05, "router": 0.1, "head": 0.02, "map": 0.05}
     opt = _AdamW() if optimizer == "adamw" else _Sgd()
     ref_opt = _PerNameAdamW() if optimizer == "adamw" else _PerNameSgd()
@@ -577,8 +558,7 @@ class TestParameterTable:
         live = sorted(set(range(cfg.n_experts)) - set(empty))
         before = {name: a.copy() for name, _, a in _parameters(model)}
         opt = _AdamW()
-        _apply_updates(model, grads, trace, TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw",
-                                                        trainable_map=True), opt)
+        _apply_updates(model, grads, trace, TrainConfig(optimizer="adamw", trainable_map=True), opt)
         for name, part, a in _parameters(model):
             if part == "experts":
                 # empty rows: parameter bytes unchanged, zero moments, no step counted
@@ -605,6 +585,6 @@ def test_f32_gradients_and_adamw_moments_keep_the_model_dtype():
     grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
     assert {name: g.dtype for name, g in grads.items()} == {name: np.dtype(np.float32) for name in grads}
     opt = _AdamW()
-    cfg = TrainConfig(stage=STAGE_MOE_TUNE, optimizer="adamw", trainable_map=True)
+    cfg = TrainConfig(optimizer="adamw", trainable_map=True)
     _apply_updates(model, grads, trace, cfg, opt)
     assert len(opt.m) == len(grads) and all(a.dtype == np.float32 for a in (*opt.m.values(), *opt.v.values()))
