@@ -438,8 +438,8 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
     """Stage B: expand the base FFN into a supernet, verify the step-0 identity, fine-tune.
 
     A step-0 evaluation that differs from the base model's by more than
-    rounding in the base's dtype (1e-9 in float64, 1e-4 in float32) is a
-    hard failure: it means the expansion or router initialization is
+    rounding in the base's dtype (1e-9 in float64, 1e-4 in float32), or a
+    non-finite step-0 or base evaluation, is a hard failure: it means the expansion or router initialization is
     broken, so training anything from it would be meaningless.
     """
     if base_model.kind != "dense":
@@ -450,7 +450,7 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
     model = ToyModel(base_model.input_w.copy(), base_model.input_b.copy(), layer,
                      base_model.head_w.copy(), base_model.head_b.copy())
     eval0 = evaluate(model, task, cfg.eval_tokens, cfg.threads)
-    if abs(eval0.mse - base_eval.mse) > tol:
+    if not abs(eval0.mse - base_eval.mse) <= tol:
         raise IdentityViolation(
             f"step-0 eval mse {eval0.mse!r} differs from base {base_eval.mse!r} "
             f"by {abs(eval0.mse - base_eval.mse):.3e} (tolerance {tol:.1e})"

@@ -26,7 +26,10 @@ Toy model container, magic ``MTOY`` version 1::
     | u64 blob length | nested FFN or MoE container bytes
 
 The nested container fills its blob exactly, shares the outer token_dim and
-dtype, and ends the file. No container may be followed by stray bytes.
+dtype, and ends the file. No container may be followed by stray bytes. The
+reader returns a valid model or raises ``FormatError`` naming the defect, a
+non-finite weight or a length past the end of the file included; every length
+is checked against the bytes left before anything is allocated.
 
 Routing traces export as JSON lines, one record per token:
 ``{"token_id": t, "selected": [...], "scores": [...]}``. Token labels export
@@ -40,10 +43,12 @@ import io
 import json
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 
 from .ffn import FfnParams
+from .harness import ToyModel
 from .moe import MoeConfig, MoeLayer, RouterParams, RoutingTrace
 from .numkernel import ShapeError
 
@@ -52,122 +57,117 @@ MAGIC_MOE = b"MMOE"
 MAGIC_TOY = b"MTOY"
 FORMAT_VERSION = 1
 
-_DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
-_ACTIVATION_CODES = {0: "relu", 1: "gelu"}
+# Each container's header after its magic, shared by its writer and its
+# reader: u32 version, u32 dtype code, then the fields the layouts above list.
+# MMOE's fields after the activation are MoeConfig's, in field order.
+_FFN_HEADER = "<5I"
+_MOE_HEADER = "<8IQ"
+_TOY_HEADER = "<4I"
+
+_DTYPE_CODES = (np.dtype("<f8"), np.dtype("<f4"))
+_ACTIVATION_CODES = ("relu", "gelu")
 
 
 class FormatError(ValueError):
     """Raised when a container's magic, version, or structure is wrong."""
 
 
-def _dtype_code(dtype) -> int:
-    dt = np.dtype(dtype)
-    for code, candidate in _DTYPE_CODES.items():
-        if candidate == dt.newbyteorder("<"):
-            return code
-    raise FormatError(f"unsupported dtype {dt}")
+def _encode(table: tuple, value, what: str) -> int:
+    if value not in table:
+        raise FormatError(f"unsupported {what} {value}")
+    return table.index(value)
 
 
-def _activation_code(name: str) -> int:
-    for code, candidate in _ACTIVATION_CODES.items():
-        if candidate == name:
-            return code
-    raise FormatError(f"unsupported activation {name!r}")
+def _decode(table: tuple, code: int, what: str):
+    if code >= len(table):
+        raise FormatError(f"unknown {what} code {code}")
+    return table[code]
 
 
-def _write_u32(f, *values: int) -> None:
-    f.write(struct.pack("<" + "I" * len(values), *values))
+def _write_header(f, magic: bytes, fmt: str, dtype, *fields: int) -> np.dtype:
+    """Write magic and header, dtype code included; return the payload dtype."""
+    dtype = np.dtype(dtype).newbyteorder("<")
+    f.write(magic + struct.pack(fmt, FORMAT_VERSION, _encode(_DTYPE_CODES, dtype, "dtype"), *fields))
+    return dtype
 
 
-def _read_u32(f, count: int) -> tuple[int, ...]:
-    data = f.read(4 * count)
-    if len(data) != 4 * count:
+def _unpack(f, fmt: str) -> tuple:
+    size = struct.calcsize(fmt)
+    data = f.read(size)
+    if len(data) != size:
         raise FormatError("truncated container header")
-    return struct.unpack("<" + "I" * count, data)
+    return struct.unpack(fmt, data)
+
+
+def _read_header(f, magic: bytes, fmt: str) -> tuple:
+    """(payload dtype, *fields) of the header :func:`_write_header` wrote."""
+    got = f.read(4)
+    if got != magic:
+        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
+    version, dtype_code, *fields = _unpack(f, fmt)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported container version {version}")
+    return (_decode(_DTYPE_CODES, dtype_code, "dtype"), *fields)
+
+
+def _left(f: io.BytesIO) -> int:
+    return f.getbuffer().nbytes - f.tell()
 
 
 def _write_array(f, a: np.ndarray, dtype) -> None:
     f.write(np.ascontiguousarray(a, dtype=dtype).tobytes())
 
 
-def _read_array(f, shape: tuple[int, ...], dtype) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    data = f.read(count * dtype.itemsize)
-    if len(data) != count * dtype.itemsize:
+def _read_array(f: io.BytesIO, shape: tuple[int, ...], dtype) -> np.ndarray:
+    # Python ints, so a forged shape cannot wrap around to a small or negative size
+    size = math.prod(shape) * dtype.itemsize
+    if size > _left(f):
         raise FormatError("truncated container payload")
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
-
-
-def _expect_magic(f, magic: bytes) -> None:
-    got = f.read(4)
-    if got != magic:
-        raise FormatError(f"bad magic {got!r}, expected {magic!r}")
-    (version,) = _read_u32(f, 1)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported container version {version}")
+    return np.frombuffer(f.read(size), dtype=dtype).reshape(shape).copy()
 
 
 def _dump_ffn(f, p: FfnParams) -> None:
     if p.w1.ndim != 2:
         raise ShapeError("_dump_ffn", p.w1.shape)
-    dtype = np.dtype(p.w1.dtype).newbyteorder("<")
-    f.write(MAGIC_FFN)
-    _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), _activation_code(p.activation),
-               p.token_dim, p.hidden_dim)
+    dtype = _write_header(f, MAGIC_FFN, _FFN_HEADER, p.w1.dtype,
+                          _encode(_ACTIVATION_CODES, p.activation, "activation"), p.token_dim, p.hidden_dim)
     for a in (p.w1, p.b1, p.w2, p.b2):
         _write_array(f, a, dtype)
 
 
-def _parse_ffn(f) -> FfnParams:
-    _expect_magic(f, MAGIC_FFN)
-    dtype_code, act_code, dim, hidden = _read_u32(f, 4)
-    if dtype_code not in _DTYPE_CODES or act_code not in _ACTIVATION_CODES:
-        raise FormatError(f"unknown dtype/activation codes ({dtype_code}, {act_code})")
-    dtype = _DTYPE_CODES[dtype_code]
-    w1 = _read_array(f, (hidden, dim), dtype)
-    b1 = _read_array(f, (hidden,), dtype)
-    w2 = _read_array(f, (dim, hidden), dtype)
-    b2 = _read_array(f, (dim,), dtype)
+def _parse_ffn(f: io.BytesIO) -> FfnParams:
+    dtype, act_code, dim, hidden = _read_header(f, MAGIC_FFN, _FFN_HEADER)
+    activation = _decode(_ACTIVATION_CODES, act_code, "activation")
+    shapes = ((hidden, dim), (hidden,), (dim, hidden), (dim,))
+    w1, b1, w2, b2 = (_read_array(f, shape, dtype) for shape in shapes)
     try:
-        return FfnParams(w1, b1, w2, b2, _ACTIVATION_CODES[act_code])
+        return FfnParams(w1, b1, w2, b2, activation)
     except ValueError as e:  # a zero dimension or a non-finite weight
         raise FormatError(f"invalid MFFN block: {e}") from None
 
 
 def _dump_moe(f, layer: MoeLayer) -> None:
     cfg, ex = layer.config, layer.experts
-    dtype = np.dtype(ex.w1.dtype).newbyteorder("<")
-    f.write(MAGIC_MOE)
-    _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), _activation_code(ex.activation),
-               cfg.token_dim, cfg.hidden_dim, cfg.n_replicas, cfg.granularity, cfg.top_k)
-    f.write(struct.pack("<Q", cfg.seed))
+    dtype = _write_header(f, MAGIC_MOE, _MOE_HEADER, ex.w1.dtype,
+                          _encode(_ACTIVATION_CODES, ex.activation, "activation"), *astuple(cfg))
     n = cfg.n_experts
     _write_array(f, np.concatenate([ex.w1.reshape(n, -1), ex.b1, ex.w2.reshape(n, -1), ex.b2], axis=1), dtype)
     _write_array(f, layer.router.w_r, dtype)
     _write_array(f, layer.router.b_r, dtype)
 
 
-def _parse_moe(f) -> MoeLayer:
-    _expect_magic(f, MAGIC_MOE)
-    dtype_code, act_code, dim, hidden, n_replicas, granularity, top_k = _read_u32(f, 7)
-    seed_raw = f.read(8)
-    if len(seed_raw) != 8:
-        raise FormatError("truncated container header")
-    (seed,) = struct.unpack("<Q", seed_raw)
-    if dtype_code not in _DTYPE_CODES or act_code not in _ACTIVATION_CODES:
-        raise FormatError(f"unknown dtype/activation codes ({dtype_code}, {act_code})")
-    dtype = _DTYPE_CODES[dtype_code]
-    activation = _ACTIVATION_CODES[act_code]
+def _parse_moe(f: io.BytesIO) -> MoeLayer:
+    dtype, act_code, *fields = _read_header(f, MAGIC_MOE, _MOE_HEADER)
+    activation = _decode(_ACTIVATION_CODES, act_code, "activation")
     try:
-        cfg = MoeConfig(token_dim=dim, hidden_dim=hidden, n_replicas=n_replicas,
-                        granularity=granularity, top_k=top_k, seed=seed)
+        cfg = MoeConfig(*fields)
     except ValueError as e:
         raise FormatError(f"invalid MMOE header: {e}") from None
-    n, width = cfg.n_experts, cfg.expert_hidden_dim
+    n, width, dim = cfg.n_experts, cfg.expert_hidden_dim, cfg.token_dim
     rows = _read_array(f, (n, 2 * width * dim + width + dim), dtype)
     w1, b1, w2, b2 = (a.copy() for a in np.split(rows, np.cumsum([width * dim, width, dim * width]), axis=1))
-    w_r = _read_array(f, (cfg.n_experts, dim), dtype)
-    b_r = _read_array(f, (cfg.n_experts,), dtype)
+    w_r = _read_array(f, (n, dim), dtype)
+    b_r = _read_array(f, (n,), dtype)
     try:
         experts = FfnParams(w1.reshape(n, width, dim), b1, w2.reshape(n, dim, width), b2, activation)
         return MoeLayer(cfg, experts, RouterParams(w_r, b_r))
@@ -175,63 +175,43 @@ def _parse_moe(f) -> MoeLayer:
         raise FormatError(f"invalid MMOE block: {e}") from None
 
 
-def save_toy_model(path, model) -> None:
+def save_toy_model(path, model: ToyModel) -> None:
     """Write a harness ToyModel; the block nests as its own container."""
-    dtype = np.dtype(model.input_w.dtype).newbyteorder("<")
+    kind = int(isinstance(model.block, MoeLayer))
     blob = io.BytesIO()
-    if isinstance(model.block, MoeLayer):
-        kind = 1
-        _dump_moe(blob, model.block)
-    else:
-        kind = 0
-        _dump_ffn(blob, model.block)
+    (_dump_moe if kind else _dump_ffn)(blob, model.block)
     payload = blob.getvalue()
     with open(path, "wb") as f:
-        f.write(MAGIC_TOY)
-        _write_u32(f, FORMAT_VERSION, _dtype_code(dtype), model.input_w.shape[0], kind)
+        dtype = _write_header(f, MAGIC_TOY, _TOY_HEADER, model.input_w.dtype, model.input_w.shape[0], kind)
         for a in (model.input_w, model.input_b, model.head_w, model.head_b):
             _write_array(f, a, dtype)
-        f.write(struct.pack("<Q", len(payload)))
-        f.write(payload)
+        f.write(struct.pack("<Q", len(payload)) + payload)
 
 
-def load_toy_model(path):
-    from .harness import ToyModel  # local import; harness depends on this module
-
-    with open(path, "rb") as f:
-        _expect_magic(f, MAGIC_TOY)
-        dtype_code, dim, kind = _read_u32(f, 3)
-        if dtype_code not in _DTYPE_CODES:
-            raise FormatError(f"unknown dtype code {dtype_code}")
-        dtype = _DTYPE_CODES[dtype_code]
-        input_w = _read_array(f, (dim, dim), dtype)
-        input_b = _read_array(f, (dim,), dtype)
-        head_w = _read_array(f, (dim, dim), dtype)
-        head_b = _read_array(f, (dim,), dtype)
-        size_raw = f.read(8)
-        if len(size_raw) != 8:
-            raise FormatError("truncated container header")
-        (blob_len,) = struct.unpack("<Q", size_raw)
-        blob = f.read(blob_len)
-        if len(blob) != blob_len:
-            raise FormatError("truncated nested block")
-        if f.read(1):
-            raise FormatError("trailing bytes after the nested block")
-    inner = io.BytesIO(blob)
-    if kind == 0:
-        block = _parse_ffn(inner)
-        block_dim, block_dtype = block.token_dim, block.w1.dtype
-    elif kind == 1:
-        block = _parse_moe(inner)
-        block_dim, block_dtype = block.config.token_dim, block.experts.w1.dtype
-    else:
+def load_toy_model(path) -> ToyModel:
+    """Read a :func:`save_toy_model` file; any defect raises FormatError."""
+    with open(path, "rb") as raw:
+        f = io.BytesIO(raw.read())
+    dtype, dim, kind = _read_header(f, MAGIC_TOY, _TOY_HEADER)
+    shapes = ((dim, dim), (dim,), (dim, dim), (dim,))
+    input_w, input_b, head_w, head_b = (_read_array(f, shape, dtype) for shape in shapes)
+    if not all(np.isfinite(a).all() for a in (input_w, input_b, head_w, head_b)):
+        raise FormatError("invalid MTOY weights: non-finite values encountered")
+    (blob_len,) = _unpack(f, "<Q")
+    if blob_len > _left(f):
+        raise FormatError("truncated nested block")
+    if blob_len < _left(f):
+        raise FormatError("trailing bytes after the nested block")
+    if kind not in (0, 1):
         raise FormatError(f"unknown block kind {kind}")
-    if inner.tell() != blob_len:
-        raise FormatError(f"{blob_len - inner.tell()} unread bytes inside the nested block")
-    if block_dim != dim:
-        raise FormatError(f"nested block token_dim {block_dim} differs from the model's {dim}")
-    if block_dtype != dtype:
-        raise FormatError(f"nested block dtype {block_dtype} differs from the model's {dtype}")
+    block = (_parse_moe if kind else _parse_ffn)(f)
+    ffn = block.experts if kind else block
+    if _left(f):
+        raise FormatError(f"{_left(f)} unread bytes inside the nested block")
+    if ffn.token_dim != dim:
+        raise FormatError(f"nested block token_dim {ffn.token_dim} differs from the model's {dim}")
+    if ffn.w1.dtype != dtype:
+        raise FormatError(f"nested block dtype {ffn.w1.dtype} differs from the model's {dtype}")
     return ToyModel(input_w, input_b, block, head_w, head_b)
 
 

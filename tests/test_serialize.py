@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeforge.cli import main
 from moeforge.harness import ToyModel, init_toy_model
 from moeforge.moe import MoeConfig, dispatch_batch, expand_supernet
 from moeforge.moe import RoutingTrace
 from moeforge.serialize import (
     FormatError,
-    _dump_moe,
     load_toy_model,
     read_labels_csv,
     read_trace_jsonl,
@@ -48,6 +48,15 @@ def _around(block):
 _TOY_HEADER = 4 + 4 * 4 + 8 * (2 * 6 * 6 + 2 * 6)
 # the nested container starts after the header and the u64 blob length
 _NESTED = _TOY_HEADER + 8
+
+
+def _tune(tmp_path, base) -> int:
+    """Exit code of a short ``tune`` run on base, a 6-dim relu toy model with hidden width 12."""
+    config = tmp_path / "tune.json"
+    config.write_text(json.dumps({"task": {"token_dim": 6}, "model": {"hidden_dim": 12},
+                                  "moe": {"n_replicas": 2, "granularity": 2},
+                                  "train": {"steps": 2, "batch": 8, "eval_tokens": 64, "probe_tokens": 16}}))
+    return main(["tune", "--config", str(config), "--base", str(base), "--out", str(tmp_path / "tuned")])
 
 
 def test_ffn_binary_roundtrip(tmp_path, rng):
@@ -224,8 +233,6 @@ def test_nested_moe_invalid_config_rejected(tmp_path):
 
 
 def test_nested_moe_nan_weight_rejected(tmp_path, capsys):
-    from moeforge.cli import main
-
     dense = init_toy_model(6, 12, seed=4)
     layer = expand_supernet(dense.block, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
     raw = _toy_bytes(tmp_path, ToyModel(dense.input_w, dense.input_b, layer, dense.head_w, dense.head_b))
@@ -238,22 +245,108 @@ def test_nested_moe_nan_weight_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: invalid MMOE block")
 
 
+@pytest.mark.parametrize("field, at, defect", [
+    (struct.pack("<I", 65536), 12, "truncated container payload"),  # token_dim: a 32 GiB input_w
+    (struct.pack("<I", 2**32 - 1), 12, "truncated container payload"),  # its size wraps a 64-bit product
+    (struct.pack("<Q", 2**62), _TOY_HEADER, "truncated nested block"),  # the blob length
+], ids=["token_dim-65536", "token_dim-2^32-1", "blob-2^62"])
+def test_length_past_the_file_rejected(tmp_path, capsys, field, at, defect):
+    raw = bytearray(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)))
+    raw[at:at + len(field)] = field
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=defect):
+        load_toy_model(path)
+    assert _tune(tmp_path, path) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {defect}")
+
+
+def test_non_finite_outer_weight_rejected(tmp_path, capsys):
+    raw = bytearray(_toy_bytes(tmp_path, init_toy_model(6, 12, seed=4)))
+    raw[20:28] = struct.pack("<d", float("nan"))  # input_w[0, 0], right after the MTOY header
+    path = tmp_path / "toy.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="invalid MTOY weights: non-finite"):
+        load_toy_model(path)
+    assert main(["split-inspect", "--ckpt", str(path), "--granularity", "2"]) == 2
+    assert _tune(tmp_path, path) == 2
+    assert capsys.readouterr().err.count("input error: invalid MTOY weights: non-finite") == 2
+
+
+def test_non_finite_base_evaluation_is_an_identity_violation(tmp_path, capsys):
+    # finite weights whose outputs overflow: the base and step-0 mse are both inf
+    model = init_toy_model(6, 12, seed=4)
+    model.head_w *= 1e200
+    path = tmp_path / "toy.ckpt"
+    save_toy_model(path, model)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _tune(tmp_path, path) == 4
+    assert capsys.readouterr().err.startswith("identity violation: step-0 eval mse inf")
+
+
+def _checkpoint_model(kind, dtype, rng=None) -> ToyModel:
+    """A 5-dim toy model around a dense block or around its 3x2 supernet, perturbed by rng."""
+    dense = init_toy_model(5, 8, seed=3, dtype=dtype)
+    block = dense.block
+    if kind == "moe":
+        block = expand_supernet(block, MoeConfig(token_dim=5, hidden_dim=8, n_replicas=3, granularity=2, seed=7))
+        if rng is not None:
+            block.experts.w1 += rng.normal(size=block.experts.w1.shape).astype(dtype)
+    return ToyModel(dense.input_w, dense.input_b, block, dense.head_w, dense.head_b)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_moe_container_layout(rng, dtype):
-    # header, then each expert's w1|b1|w2|b2 in index order, then the router
-    layer = expand_supernet(random_ffn(rng, 5, 8, dtype=dtype),
-                            MoeConfig(token_dim=5, hidden_dim=8, n_replicas=3, granularity=2, seed=7))
-    layer.experts.w1 += rng.normal(size=layer.experts.w1.shape).astype(dtype)
-    cfg = layer.config
-    f = io.BytesIO()
-    _dump_moe(f, layer)
-    header = struct.pack("<4s8IQ", b"MMOE", 1, 0 if dtype == np.float64 else 1, 0, cfg.token_dim,
-                         cfg.hidden_dim, cfg.n_replicas, cfg.granularity, cfg.top_k, cfg.seed)
-    experts = b"".join(a.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
-                       for e in range(cfg.n_experts)
-                       for a in (layer.experts.w1[e], layer.experts.b1[e],
-                                 layer.experts.w2[e], layer.experts.b2[e]))
-    assert f.getvalue() == header + experts + layer.router.w_r.tobytes() + layer.router.b_r.tobytes()
+def test_checkpoint_layout(tmp_path, rng, dtype):
+    # the whole file: MTOY header, input and head weights, blob length, then the
+    # nested MFFN (header, w1|b1|w2|b2) or MMOE (header, each expert's w1|b1|w2|b2
+    # in index order, the router)
+    code, le = (0, "<f8") if dtype == np.float64 else (1, "<f4")
+    for kind in ("dense", "moe"):
+        model = _checkpoint_model(kind, dtype, rng)
+        if kind == "dense":
+            arrays = [model.block]
+            nested = struct.pack("<4s5I", b"MFFN", 1, code, 0, 5, 8)
+        else:
+            arrays = list(model.block.experts)
+            nested = struct.pack("<4s8IQ", b"MMOE", 1, code, 0, 5, 8, 3, 2, 2, 7)
+        nested += b"".join(a.astype(le).tobytes() for e in arrays for a in (e.w1, e.b1, e.w2, e.b2))
+        if kind == "moe":
+            nested += model.block.router.w_r.astype(le).tobytes() + model.block.router.b_r.astype(le).tobytes()
+        outer = b"".join(a.astype(le).tobytes() for a in (model.input_w, model.input_b, model.head_w, model.head_b))
+        expected = (struct.pack("<4s4I", b"MTOY", 1, code, 5, int(kind == "moe")) + outer
+                    + struct.pack("<Q", len(nested)) + nested)
+        assert _toy_bytes(tmp_path, model) == expected
+
+
+_MUTATION = st.one_of(
+    # one to four byte flips, half of them in the first 120 bytes, where the headers are
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 119) | st.integers(0, 2**20),
+                                                  st.integers(0, 255)), min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["dense", "moe"]), st.sampled_from([np.float64, np.float32]), _MUTATION)
+def test_any_mutated_checkpoint_gives_model_or_format_error(tmp_path_factory, kind, dtype, mutation):
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    save_toy_model(path, _checkpoint_model(kind, dtype))
+    raw = bytearray(path.read_bytes())
+    op, arg = mutation
+    if op == "flip":
+        for at, value in arg:
+            raw[at % len(raw)] = value
+    elif op == "truncate":
+        raw = raw[:arg % len(raw)]
+    else:
+        raw += arg
+    path.write_bytes(bytes(raw))
+    try:
+        model = load_toy_model(path)
+    except FormatError:
+        return
+    assert isinstance(model, ToyModel)
 
 
 _GOOD_RECORD = {"token_id": 0, "selected": [1, 3], "scores": [0.25, 0.25, 0.25, 0.25]}
