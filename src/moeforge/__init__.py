@@ -42,7 +42,6 @@ from .harness import (
     run_gradcheck,
 )
 from .moe import (
-    ExpertGroups,
     Gate,
     MoeConfig,
     MoeLayer,
@@ -52,7 +51,6 @@ from .moe import (
     dispatch_batch,
     dispatch_loop,
     expand_supernet,
-    group_by_expert,
     init_router,
     load_balance_loss,
     moe_forward,

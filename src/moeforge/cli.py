@@ -2,9 +2,10 @@
 
 Subcommands: pretrain, tune, ablate, analyze, gradcheck, bench-dispatch,
 split-inspect. Every run writes a manifest.json holding the resolved config,
-effective seed, thread count, input hashes, and the matrix kernel with the
-numpy and BLAS versions under it, so a run is reproducible from its manifest
-alone. Commands never mutate their input files.
+effective seed, thread count and dtype (analyze takes none of the three),
+input hashes, and the matrix kernel with the numpy and BLAS versions under
+it, so a run is reproducible from its manifest alone. Commands never mutate
+their input files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
 3 divergence, 4 step-0 identity violation, 5 gradcheck failure, 6 internal
@@ -168,7 +169,17 @@ def _resolve_threads(args) -> int:
 
 
 def _dtype_of(args):
-    return np.float32 if getattr(args, "f32", False) else np.float64
+    return np.float32 if args.f32 else np.float64
+
+
+def _from_section(path, section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)`` for config section ``section``; its ValueError names the file and section."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigError, ShapeError):
+        raise  # a ConfigError names its key already; a ShapeError is an internal error
+    except ValueError as e:
+        raise ConfigError(f"{path}: section '{section}': {e}") from None
 
 
 def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
@@ -188,8 +199,9 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
         "inputs": inputs,
         "resolved_config": resolved_config,
         "seed": getattr(args, "seed", None),
-        "threads": _resolve_threads(args),
-        "dtype": "f32" if getattr(args, "f32", False) else "f64",
+        # analyze takes neither flag: it runs float64, on no pool
+        **({"threads": _resolve_threads(args), "dtype": "f32" if args.f32 else "f64"}
+           if hasattr(args, "threads") else {}),
         # the bytes of every output depend on the matrix kernel and the BLAS under it
         "kernel": KERNEL,
         "numpy": np.__version__,
@@ -213,15 +225,17 @@ def _write_curves_csv(path, curves: list[dict]) -> None:
 def _build_task_and_train(cfg: dict, args):
     train = dict(cfg["train"])
     trainable = train.pop("trainable")
-    task = make_task(**cfg["task"], dtype=_dtype_of(args))
-    return task, TrainConfig(**train, trainable_moe=trainable["moe"], trainable_head=trainable["head"],
-                             trainable_map=trainable["map"], threads=_resolve_threads(args))
+    task = _from_section(args.config, "task", make_task, **cfg["task"], dtype=_dtype_of(args))
+    return task, _from_section(args.config, "train", TrainConfig, **train, trainable_moe=trainable["moe"],
+                               trainable_head=trainable["head"], trainable_map=trainable["map"],
+                               threads=_resolve_threads(args))
 
 
 def cmd_pretrain(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
     task, train_cfg = _build_task_and_train(cfg, args)
-    model = init_toy_model(cfg["task"]["token_dim"], **cfg["model"], dtype=_dtype_of(args))
+    model = _from_section(args.config, "model", init_toy_model, cfg["task"]["token_dim"], **cfg["model"],
+                          dtype=_dtype_of(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = pretrain(task, model, train_cfg)
@@ -279,7 +293,7 @@ def cmd_tune(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
     task, train_cfg = _build_task_and_train(cfg, args)
     base = _load_base(args.base, cfg, args)
-    moe_cfg = _moe_config(cfg)
+    moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = moe_tune(task, base, moe_cfg, train_cfg)
@@ -300,7 +314,7 @@ def cmd_ablate(args) -> int:
     cfg = _apply_seed_override(load_config(args.config), args.seed)
     task, train_cfg = _build_task_and_train(cfg, args)
     base = _load_base(args.base, cfg, args)
-    moe_cfg = _moe_config(cfg)
+    moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)
@@ -336,7 +350,7 @@ def cmd_analyze(args) -> int:
         "loss": load_balance_loss(trace),
         "nmi": nmi,
         "loading": [float(x) for x in loading.fractions],
-        "coselection_path": str(coselection_path),
+        "coselection_path": coselection_path.name,
     })
     print(f"analyze done: balance loss {load_balance_loss(trace):.6g} -> {out}")
     return 0
@@ -442,45 +456,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="moeforge",
                                      description="Mixture-of-experts layer mechanics and toy tuning harness")
     parser.add_argument("--version", action="version", version=f"moeforge {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="override every section seed in the config")
-    common.add_argument("--threads", type=int, default=1, help="dispatch thread count")
-    common.add_argument("--f32", action="store_true", help="32-bit float mode (relaxed tolerances)")
+    # only the commands that run a model take these
+    run = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    run.add_argument("--threads", type=int, default=1, help="dispatch thread count")
+    run.add_argument("--f32", action="store_true", help="32-bit float mode (relaxed tolerances)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", parents=[common], help="stage A: train the dense base model")
+    p = sub.add_parser("pretrain", parents=[run], help="stage A: train the dense base model")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("tune", parents=[common], help="stage B: expand to a supernet and fine-tune")
+    p = sub.add_parser("tune", parents=[run], help="stage B: expand to a supernet and fine-tune")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True, help="base checkpoint from pretrain")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("ablate", parents=[common], help="tune once per trainable-subset combo")
+    p = sub.add_parser("ablate", parents=[run], help="tune once per trainable-subset combo")
     p.add_argument("--config", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("analyze", parents=[common], help="statistics from an exported trace")
+    p = sub.add_parser("analyze", help="statistics from an exported trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--labels", default=None, help="token_id,label csv for specialization NMI")
     p.add_argument("--normalize", choices=["max", "tokens"], default="max")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("gradcheck", parents=[common], help="finite-difference check of the gradients")
+    p = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference check of the gradients")
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.01)
     p.add_argument("--sizes", default=None,
                    help="comma-separated DxHxNxK instance shapes, e.g. 8x16x2x2,16x32x4x2")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("bench-dispatch", parents=[common],
+    p = sub.add_parser("bench-dispatch", parents=[run],
                        help="equivalence + throughput: batched dispatch vs per-token loop")
     p.add_argument("--tokens", type=int, default=8192)
     p.add_argument("--token-dim", type=int, default=256)
@@ -490,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", type=int, default=0)
     p.set_defaults(func=cmd_bench_dispatch)
 
-    p = sub.add_parser("split-inspect", parents=[common],
+    p = sub.add_parser("split-inspect", parents=[seeded],
                        help="show how a checkpoint's FFN slices into experts")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--granularity", type=int, required=True)

@@ -12,8 +12,8 @@ The pieces, in the order a layer comes to life:
   ``granularity`` times, so at step 0 the top-k selection lands on the k
   slices of a single replica and the layer reproduces the base FFN.
 * :func:`moe_forward` / :func:`dispatch_batch` run tokens through the layer.
-  ``dispatch_batch`` sorts the (token, slot) assignments by expert once
-  (:func:`group_by_expert`) and lays them out as expert-contiguous row
+  ``dispatch_batch`` checks the (tokens, top_k) selection, sorts its
+  assignments by expert once and lays them out as expert-contiguous row
   blocks (:func:`row_blocks`), walked in chunks of consecutive experts under
   a fixed workspace cap (:data:`CHUNK_ELEMENTS`), at every batch size and
   thread count. Each FFN layer of a chunk is one grouped product over its
@@ -337,51 +337,6 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     return out, RoutingTrace(cfg.top_k, scores, selected)
 
 
-class ExpertGroups(NamedTuple):
-    """Assignments of a (tokens, top_k) selection, sorted once by expert.
-
-    token_ids lists the token of every (token, slot) assignment, grouped by
-    expert and ascending within each group; expert e owns
-    ``token_ids[offsets[e]:offsets[e + 1]]``. A token appears at most once
-    per group, because selections ascend strictly along a row. order is the
-    sort itself: the flat index ``token * top_k + slot`` of each assignment,
-    in the same grouped order.
-    """
-
-    token_ids: np.ndarray
-    offsets: np.ndarray
-    order: np.ndarray
-
-    def tokens_of(self, e: int) -> np.ndarray:
-        return self.token_ids[self.offsets[e]:self.offsets[e + 1]]
-
-
-def group_by_expert(selected: np.ndarray, n_experts: int) -> ExpertGroups:
-    """Group a selection by expert with one stable sort of its T*k entries.
-
-    The flattened selection is token-major, so a stable sort keeps tokens
-    in ascending order within each expert. The sort key is the smallest
-    unsigned type that holds ``n_experts - 1``: for 8- and 16-bit keys
-    numpy's stable sort is a radix sort, and a stable order is unique, so
-    the key width does not change the result. Rows must ascend strictly
-    (each expert at most once per token), or :meth:`RowBlocks.fold` would
-    drop an add or make it out of order; any other row raises
-    ``ValueError``.
-    """
-    selected = np.asarray(selected)
-    if selected.ndim != 2:
-        raise ShapeError("group_by_expert", selected.shape)
-    flat = selected.ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= n_experts):
-        raise ValueError(f"group_by_expert: expert index out of range [0, {n_experts})")
-    if not np.all(np.diff(selected, axis=1) > 0):
-        raise ValueError("group_by_expert: selected experts must ascend strictly along every row")
-    order = np.argsort(flat.astype(np.min_scalar_type(n_experts - 1)), kind="stable")
-    offsets = np.zeros(n_experts + 1, dtype=np.intp)
-    np.cumsum(np.bincount(flat, minlength=n_experts), out=offsets[1:])
-    return ExpertGroups(order // selected.shape[1], offsets, order)
-
-
 # Array elements of workspace in one chunk of dispatch_batch: a padded row
 # holds its input, pre-activation, activation and output, 2 * (dim + hidden),
 # and its share of a gathered weight, dim * hidden / ROW_BLOCK. The cap
@@ -432,37 +387,57 @@ class RowBlocks(NamedTuple):
             out[tokens] = add
 
 
-def row_blocks(groups: ExpertGroups, top_k: int, max_rows: int | None = None) -> list[RowBlocks]:
-    """The block layout of a grouping, cut into runs of consecutive experts, ascending.
+def row_blocks(selected: np.ndarray, n_experts: int, max_rows: int | None = None) -> list[RowBlocks]:
+    """The block layout of a (tokens, top_k) selection, cut into runs of consecutive experts, ascending.
+
+    The assignments are sorted by expert with one stable sort of the
+    token-major flattened selection, so tokens ascend within each expert.
+    The sort key is the smallest unsigned type that holds ``n_experts - 1``:
+    for 8- and 16-bit keys numpy's stable sort is a radix sort, and a stable
+    order is unique, so the key width does not change the result. Rows must
+    ascend strictly (each expert at most once per token), or
+    :meth:`RowBlocks.fold` would drop an add or make it out of order; any
+    other row raises ``ValueError``.
 
     A run holds the experts whose first padded row falls in one window of
     ``max_rows`` rows, so it spans at most ``max_rows`` rows plus its last
     expert's; without max_rows every expert is in one run. Several runs
     take their slots from one stable sort of the assignments by (run, slot).
     """
-    counts = np.diff(groups.offsets)
+    selected = np.asarray(selected)
+    if selected.ndim != 2:
+        raise ShapeError("row_blocks", selected.shape)
+    top_k = selected.shape[1]
+    flat = selected.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= n_experts):
+        raise ValueError(f"row_blocks: expert index out of range [0, {n_experts})")
+    if not np.all(np.diff(selected, axis=1) > 0):
+        raise ValueError("row_blocks: selected experts must ascend strictly along every row")
+    order = np.argsort(flat.astype(np.min_scalar_type(n_experts - 1)), kind="stable")
+    counts = np.bincount(flat, minlength=n_experts)
     blocks = -(-counts // ROW_BLOCK)
     ends = np.cumsum(blocks) * ROW_BLOCK
     starts = ends - blocks * ROW_BLOCK
-    rows = np.arange(len(groups.order)) + np.repeat(starts - groups.offsets[:-1], counts)
+    rows = np.arange(flat.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    token_ids = order // top_k
     row_token = np.zeros(ends[-1], dtype=np.intp)
-    row_token[rows] = groups.token_ids
-    block_expert = np.repeat(np.arange(len(counts)), blocks)
+    row_token[rows] = token_ids
+    block_expert = np.repeat(np.arange(n_experts), blocks)
     # One run, such as a training batch or a tune's probe, takes each slot's
     # rows from the token-major order: a default tune step with its probe
     # ran 1.02-1.35x (median 1.2x) faster this way than through the sort (2 vCPUs).
     if max_rows is None or starts[-1] < max_rows:
         pos = np.empty(len(rows), dtype=np.intp)
-        pos[groups.order] = rows
+        pos[order] = rows
         pos = pos.reshape(-1, top_k)
         return [RowBlocks(0, block_expert, starts, counts, row_token, [(slice(None), c) for c in pos.T])]
     run = np.cumsum(np.diff(starts // max_rows, prepend=0) > 0)
-    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), len(counts)]
+    edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n_experts]
     keys = (len(edges) - 1) * top_k
-    key = (np.repeat(run * top_k, counts) + groups.order % top_k).astype(np.min_scalar_type(keys - 1))
+    key = (np.repeat(run * top_k, counts) + order % top_k).astype(np.min_scalar_type(keys - 1))
     by_key = np.argsort(key, kind="stable")
     bounds = [0, *np.cumsum(np.bincount(key, minlength=keys)).tolist()]
-    token_ids, rows = groups.token_ids[by_key], rows[by_key]
+    token_ids, rows = token_ids[by_key], rows[by_key]
     runs = []
     for r, (e0, e1) in enumerate(zip(edges, edges[1:])):
         r0, r1 = int(starts[e0]), int(ends[e1 - 1])
@@ -474,7 +449,7 @@ def row_blocks(groups: ExpertGroups, top_k: int, max_rows: int | None = None) ->
 
 
 class GroupedForward(NamedTuple):
-    """What the grouped forward keeps for the backward: the layout, its padded input and pre-activation."""
+    """What :func:`dispatch_whole` keeps for the backward: the layout, its padded input and pre-activation."""
 
     blocks: RowBlocks
     x: np.ndarray
@@ -507,18 +482,8 @@ def _expert_products(a: np.ndarray, w: np.ndarray, b: np.ndarray, blocks: RowBlo
     return out
 
 
-def grouped_forward(experts: FfnParams, tokens: np.ndarray, blocks: RowBlocks):
-    """Padded outputs of a run of ``experts`` on its tokens (bitwise ``ffn_forward_batch``) and its GroupedForward."""
-    experts = experts[blocks.first:blocks.first + len(blocks.counts)]
-    act, _ = activation_pair(experts.activation)
-    x = blocks.scatter(tokens)
-    z1 = _expert_products(x, experts.w1, experts.b1, blocks)
-    y = _expert_products(act(z1), experts.w2, experts.b2, blocks)
-    return y, GroupedForward(blocks, x, z1)
-
-
 def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.ndarray):
-    """The backward of :func:`grouped_forward` on a one-run layout of every expert.
+    """The backward of :func:`dispatch_whole`'s expert forward, on its one-run layout of every expert.
 
     Returns (the experts' stacked FfnGrads, the (tokens, dim) input
     gradient). Row e bitwise equals ``ffn_backward_batch`` of expert e, or
@@ -553,16 +518,16 @@ def _route_and_lay_out(layer: MoeLayer, tokens: np.ndarray, op: str, max_rows: i
     scores = route_batch(layer.router, tokens)
     selected = top_k_select_rows(scores, cfg.top_k)
     out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
-    chunks = row_blocks(group_by_expert(selected, cfg.n_experts), cfg.top_k, max_rows)
+    chunks = row_blocks(selected, cfg.n_experts, max_rows)
     return tokens, out, RoutingTrace(cfg.top_k, scores, selected), chunks
 
 
 def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     """Route a whole batch, then evaluate its experts chunk by chunk; returns (out, trace).
 
-    The assignments are sorted by expert once (:func:`group_by_expert`) and
-    laid out in row blocks cut into chunks of consecutive experts under a
-    workspace cap (:func:`row_blocks`, CHUNK_ELEMENTS). Each chunk's expert
+    The assignments are sorted by expert once and laid out in row blocks
+    cut into chunks of consecutive experts under a workspace cap
+    (:func:`row_blocks`, CHUNK_ELEMENTS). Each chunk's expert
     outputs (:func:`_expert_products`) are added into a zeroed output slot by
     slot. With ``threads`` above 1, a pool computes the chunks while the
     calling thread adds them in chunk order, BLAS held at one thread: at the
@@ -579,7 +544,7 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     act, _ = activation_pair(layer.experts.activation)
 
     def expert_rows(blocks: RowBlocks) -> np.ndarray:
-        # grouped_forward, keeping no input or pre-activation (bench-dispatch's shape: 250 MB RSS, not 260)
+        # dispatch_whole's forward, freeing input and pre-activation once used (dispatch-dense: 248 MB, not 264)
         experts = layer.experts[blocks.first:blocks.first + len(blocks.counts)]
         a = act(_expert_products(blocks.scatter(tokens), experts.w1, experts.b1, blocks))
         return _expert_products(a, experts.w2, experts.b2, blocks)
@@ -598,13 +563,18 @@ def dispatch_whole(layer: MoeLayer, tokens: np.ndarray):
     """:func:`dispatch_batch` with the whole batch as one chunk, keeping its forward.
 
     Returns (out, trace, GroupedForward), out and trace bitwise those of
-    dispatch_batch. For training: an expert's weight gradient reduces over
-    all its tokens, so :func:`grouped_backward` needs them in one layout.
+    dispatch_batch. For training: the backward needs the padded input and
+    pre-activation, which dispatch_batch's chunks free as soon as they are
+    used, and :func:`grouped_backward` indexes the whole expert stack from
+    expert 0, so every expert must be in one run.
     """
     tokens, out, trace, [blocks] = _route_and_lay_out(layer, tokens, "dispatch_whole", None)
-    rows, saved = grouped_forward(layer.experts, tokens, blocks)
-    blocks.fold(rows, out)
-    return out, trace, saved
+    experts = layer.experts
+    act, _ = activation_pair(experts.activation)
+    x = blocks.scatter(tokens)
+    z1 = _expert_products(x, experts.w1, experts.b1, blocks)
+    blocks.fold(_expert_products(act(z1), experts.w2, experts.b2, blocks), out)
+    return out, trace, GroupedForward(blocks, x, z1)
 
 
 def assignment_counts(trace: RoutingTrace) -> np.ndarray:

@@ -16,8 +16,8 @@ PUBLIC_API = {
     "ablate_tuning_subsets", "evaluate", "generate_batch", "init_toy_model", "make_task", "moe_tune",
     "pretrain", "run_gradcheck",
     # moe
-    "ExpertGroups", "Gate", "MoeConfig", "MoeLayer", "RouterParams", "RoutingTrace",
-    "balance_loss_backward", "dispatch_batch", "dispatch_loop", "expand_supernet", "group_by_expert",
+    "Gate", "MoeConfig", "MoeLayer", "RouterParams", "RoutingTrace",
+    "balance_loss_backward", "dispatch_batch", "dispatch_loop", "expand_supernet",
     "init_router", "load_balance_loss", "moe_forward", "route", "route_batch", "split_ffn",
     "top_k_gate", "top_k_select_rows", "total_loss",
     # numkernel

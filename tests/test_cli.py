@@ -346,6 +346,16 @@ class TestAnalyzeCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"input error: {path}{where}")
 
+    def test_summary_does_not_depend_on_the_output_directory(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("".join(json.dumps({"token_id": t, "selected": [t % 2, 2], "scores": [0.25, 0.25, 0.5]})
+                                 + "\n" for t in range(4)))
+        for out in ("an_a", "an_b"):
+            assert main(["analyze", "--trace", str(trace), "--out", str(tmp_path / out)]) == 0
+        summary = (tmp_path / "an_a" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "an_b" / "summary.json").read_bytes()
+        assert json.loads(summary)["coselection_path"] == "coselection.csv"
+
     def test_top1_tune_trace_is_analyzed(self, tmp_path):
         config = write_config(tmp_path, {"moe": {"granularity": 1, "top_k": 1}})
         _, pre_dir, _ = run_pretrain(tmp_path, config=config)
@@ -571,3 +581,40 @@ def test_module_entrypoint_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "moeforge" in proc.stdout
+
+
+# A constructor's own check names the config file and the section that fed it.
+@pytest.mark.parametrize("command, section, content, message", [
+    ("pretrain", "train", {"batch": 0}, "TrainConfig: batch must be >= 1, got 0"),
+    ("pretrain", "model", {"activation": "tanh"}, "unknown activation 'tanh'"),
+    ("pretrain", "task", {"noise_std": -1}, "SyntheticTask: noise_std must be >= 0, got -1"),
+    ("tune", "moe", {"granularity": 5, "top_k": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
+], ids=["train", "model", "task", "moe"])
+def test_constructor_error_names_file_and_section(tmp_path, capsys, command, section, content, message):
+    config = write_config(tmp_path, {section: content}, name="bad.json")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "tune":
+        code, pre_dir, _ = run_pretrain(tmp_path)
+        assert code == 0
+        argv += ["--base", str(pre_dir / "base.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {config}: section '{section}': {message}")
+
+
+# --seed, --threads and --f32 go only to the commands that use them
+@pytest.mark.parametrize("argv, flag", [
+    (["gradcheck"], ["--threads", "4"]),
+    (["gradcheck"], ["--f32"]),
+    (["split-inspect", "--ckpt", "c", "--granularity", "2"], ["--threads", "9"]),
+    (["split-inspect", "--ckpt", "c", "--granularity", "2"], ["--f32"]),
+    (["analyze", "--trace", "t", "--out", "o"], ["--seed", "1"]),
+    (["analyze", "--trace", "t", "--out", "o"], ["--threads", "3"]),
+    (["analyze", "--trace", "t", "--out", "o"], ["--f32"]),
+], ids=lambda v: "-".join(v) if v[0].startswith("--") else v[0])
+def test_unused_flags_are_rejected(capsys, argv, flag):
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv + flag)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

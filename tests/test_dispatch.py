@@ -24,8 +24,8 @@ def _record_chunks(monkeypatch, cap):
     calls = []
     real = moe.row_blocks
 
-    def recording(groups, top_k, max_rows=None):
-        runs = real(groups, top_k, max_rows)
+    def recording(selected, n_experts, max_rows=None):
+        runs = real(selected, n_experts, max_rows)
         calls.append((max_rows, runs))
         return runs
 

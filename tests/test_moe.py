@@ -14,18 +14,18 @@ from moeforge.moe import (
     assignment_fractions,
     balance_loss_backward,
     expand_supernet,
-    group_by_expert,
     init_router,
     load_balance_loss,
     moe_forward,
     route,
     route_batch,
+    row_blocks,
     split_ffn,
     top_k_gate,
     top_k_select_rows,
     total_loss,
 )
-from moeforge.numkernel import ShapeError, make_rng, mm
+from moeforge.numkernel import ROW_BLOCK, ShapeError, make_rng, mm
 
 from conftest import random_ffn, random_layer
 
@@ -296,49 +296,76 @@ def _tokens_by_nonzero(selected, n_experts):
     return [np.nonzero((selected == e).any(axis=1))[0] for e in range(n_experts)]
 
 
+def _tokens_per_expert(runs):
+    """Each expert's tokens, read off its rows of the layout, experts ascending."""
+    return [run.row_token[s:s + c] for run in runs for s, c in zip(run.starts, run.counts)]
+
+
 class TestGroupByExpert:
-    def _check(self, selected, n_experts):
-        groups = group_by_expert(selected, n_experts)
+    """``row_blocks`` groups a selection by expert and lays the groups out in row blocks."""
+
+    def _check(self, selected, n_experts, max_rows=None):
+        runs = row_blocks(selected, n_experts, max_rows)
         t, k = selected.shape
-        for e, expected in enumerate(_tokens_by_nonzero(selected, n_experts)):
-            assert np.array_equal(groups.tokens_of(e), expected)
-        assert groups.offsets[0] == 0 and groups.offsets[-1] == t * k
-        assert groups.token_ids.shape == (t * k,)
-        # every assignment (t, j) appears exactly once: ordering the
-        # (token, owning expert) pairs token-major gives the selection back
-        owner = np.repeat(np.arange(n_experts), np.diff(groups.offsets))
-        order = np.lexsort((owner, groups.token_ids))
-        assert np.array_equal(groups.token_ids[order], np.repeat(np.arange(t), k))
-        assert np.array_equal(owner[order].reshape(t, k), selected)
-        busy = [e for e in range(n_experts) if groups.tokens_of(e).size]
-        assert busy == np.flatnonzero(np.diff(groups.offsets)).tolist()
+        # runs ascend and hold each expert exactly once
+        sizes = [len(run.counts) for run in runs]
+        assert [run.first for run in runs] == np.cumsum([0] + sizes[:-1]).tolist()
+        assert sum(sizes) == n_experts
+        for got, expected in zip(_tokens_per_expert(runs), _tokens_by_nonzero(selected, n_experts), strict=True):
+            assert np.array_equal(got, expected)
+        # a run's rows are exactly its experts' blocks, in expert order
+        for run in runs:
+            blocks = -(-run.counts // ROW_BLOCK)
+            assert np.array_equal(run.block_expert, np.repeat(np.arange(len(blocks)), blocks))
+            assert np.array_equal(run.starts, (np.cumsum(blocks) - blocks) * ROW_BLOCK)
+            assert len(run.row_token) == len(run.block_expert) * ROW_BLOCK and len(run.slots) == k
+        # every assignment (t, j) appears exactly once across the runs'
+        # slot-j rows, in a row of expert selected[t, j] holding token t
+        for j in range(k):
+            seen = []
+            for run in runs:
+                tokens, rows = run.slots[j]
+                tokens = np.arange(t)[tokens]
+                local = run.block_expert[rows // ROW_BLOCK]
+                assert np.array_equal(run.first + local, selected[tokens, j])
+                assert np.all(rows < run.starts[local] + run.counts[local])
+                assert np.array_equal(run.row_token[rows], tokens)
+                seen.append(tokens)
+            assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(t))
+        return runs
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_nonzero_definition(self, data):
         n_experts = data.draw(st.integers(1, 10))
         k = data.draw(st.integers(1, n_experts))
-        t = data.draw(st.integers(0, 12))
+        # up to 80 tokens give an expert a second block
+        t = data.draw(st.integers(0, 80))
         # Drawing from a prefix of the experts leaves the rest empty.
         used = data.draw(st.integers(k, n_experts))
         rows = [sorted(data.draw(st.sets(st.integers(0, used - 1), min_size=k, max_size=k)))
                 for _ in range(t)]
-        self._check(np.array(rows, dtype=np.int64).reshape(t, k), n_experts)
+        # windows of a few blocks or less cut the layout into several runs
+        max_rows = data.draw(st.none() | st.integers(1, 4 * ROW_BLOCK))
+        self._check(np.array(rows, dtype=np.int64).reshape(t, k), n_experts, max_rows)
 
     def test_empty_batch(self):
-        groups = group_by_expert(np.zeros((0, 3), dtype=np.int64), 5)
-        assert groups.offsets.tolist() == [0] * 6
-        assert groups.token_ids.shape == (0,)
-        assert all(groups.tokens_of(e).size == 0 for e in range(5))
+        for max_rows in (None, 1):
+            [run] = row_blocks(np.zeros((0, 3), dtype=np.int64), 5, max_rows)
+            assert run.first == 0 and run.counts.tolist() == [0] * 5
+            assert run.row_token.shape == (0,) and run.block_expert.shape == (0,)
+            assert [rows.size for _, rows in run.slots] == [0, 0, 0]
 
     def test_every_expert_selected(self):
-        self._check(np.tile(np.arange(6), (9, 1)), 6)
+        for max_rows in (None, 1):
+            self._check(np.tile(np.arange(6), (9, 1)), 6, max_rows)
 
     def test_empty_experts(self):
         selected = np.array([[1, 4], [1, 2], [2, 4], [1, 4]])
-        self._check(selected, 7)
-        groups = group_by_expert(selected, 7)
-        assert [groups.tokens_of(e).tolist() for e in range(7)] == [[], [0, 1, 3], [1, 2], [], [0, 2, 3], [], []]
+        for max_rows, n_runs in ((None, 1), (1, 4)):
+            runs = self._check(selected, 7, max_rows)
+            assert len(runs) == n_runs
+            assert [e.tolist() for e in _tokens_per_expert(runs)] == [[], [0, 1, 3], [1, 2], [], [0, 2, 3], [], []]
 
     @pytest.mark.parametrize("n_experts", [256, 257, 300, 65536, 65537, 70_000])
     def test_sort_key_widths(self, n_experts):
@@ -347,21 +374,23 @@ class TestGroupByExpert:
         top = n_experts - 1
         selected = np.array([[0, top // 2, top], [1, top - 1, top], [0, 1, 2],
                              [top - 2, top - 1, top], [0, 128, top]])
-        self._check(selected, n_experts)
-        assert group_by_expert(selected, n_experts).tokens_of(top).tolist() == [0, 1, 3, 4]
+        for max_rows in (None, 1):
+            runs = self._check(selected, n_experts, max_rows)
+            assert _tokens_per_expert(runs)[top].tolist() == [0, 1, 3, 4]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            group_by_expert(np.array([[0, 3]]), 3)
+        for selected in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="out of range"):
+                row_blocks(np.array(selected), 3)
         with pytest.raises(ShapeError):
-            group_by_expert(np.array([0, 1]), 3)
+            row_blocks(np.array([0, 1]), 3)
 
     @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
     def test_rows_must_ascend_strictly(self, row):
         # a repeated expert would be added once, not twice; a descending
         # row would be added out of moe_forward's order
         with pytest.raises(ValueError, match="ascend strictly"):
-            group_by_expert(np.array([[0, 1], row]), 5)
+            row_blocks(np.array([[0, 1], row]), 5)
 
 
 class TestMoeForward:
