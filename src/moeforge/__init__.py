@@ -10,9 +10,7 @@ __version__ = "0.1.0"
 
 from .analytics import (
     CoSelectionMatrix,
-    LoadDistribution,
     co_selection,
-    expert_loading,
     mean_partner_count,
     pattern_specialization,
     search_space_size,
@@ -21,7 +19,6 @@ from .ffn import (
     FfnGrads,
     FfnParams,
     ffn_backward_batch,
-    ffn_forward,
     ffn_forward_batch,
     init_ffn,
 )
@@ -42,7 +39,6 @@ from .harness import (
     run_gradcheck,
 )
 from .moe import (
-    Gate,
     MoeConfig,
     MoeLayer,
     RouterParams,
@@ -53,18 +49,13 @@ from .moe import (
     expand_supernet,
     init_router,
     load_balance_loss,
-    moe_forward,
-    route,
     route_batch,
     split_ffn,
-    top_k_gate,
     top_k_select_rows,
     total_loss,
 )
 from .numkernel import (
     ShapeError,
-    Matrix,
-    Vector,
     gelu,
     gelu_grad,
     make_rng,

@@ -1,7 +1,9 @@
-"""Routing-trace statistics: expert loading, co-selection, specialization, search space.
+"""Routing-trace statistics: co-selection, specialization, search space.
 
 Everything here is pure aggregation over an immutable RoutingTrace; CSV and
 JSON writers live at the bottom so external plotters can pick the numbers up.
+A trace's expert loading is :func:`moeforge.moe.assignment_fractions`, the
+balance loss's F term, written out by :func:`write_loading_csv`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .moe import RoutingTrace, assignment_fractions
+from .moe import RoutingTrace
 from .numkernel import ShapeError
 
 
@@ -33,18 +35,6 @@ class CoSelectionMatrix:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass
-class LoadDistribution:
-    """Per-expert share of token assignments; non-negative, sums to 1."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.fractions = np.asarray(self.fractions)
-        if self.fractions.ndim != 1:
-            raise ShapeError("LoadDistribution", self.fractions.shape)
 
 
 def co_selection(trace: RoutingTrace, normalize: str = "max") -> CoSelectionMatrix:
@@ -68,11 +58,6 @@ def co_selection(trace: RoutingTrace, normalize: str = "max") -> CoSelectionMatr
     else:
         values = counts / max(trace.n_tokens, 1)
     return CoSelectionMatrix(values)
-
-
-def expert_loading(trace: RoutingTrace) -> LoadDistribution:
-    """Workload share per expert; identical to the balance loss's F term."""
-    return LoadDistribution(assignment_fractions(trace))
 
 
 def _entropy(counter: Counter, total: int) -> float:
@@ -133,11 +118,12 @@ def write_matrix_csv(path, matrix: CoSelectionMatrix) -> None:
             writer.writerow([str(i)] + [repr(float(v)) for v in row])
 
 
-def write_loading_csv(path, loading: LoadDistribution) -> None:
+def write_loading_csv(path, fractions: np.ndarray) -> None:
+    """CSV of per-expert assignment fractions: expert indices, then one row of shares."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([str(i) for i in range(loading.fractions.shape[0])])
-        writer.writerow([repr(float(v)) for v in loading.fractions])
+        writer.writerow([str(i) for i in range(len(fractions))])
+        writer.writerow([repr(float(v)) for v in fractions])
 
 
 def write_summary_json(path, summary: dict) -> None:

@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .analytics import (
     co_selection,
-    expert_loading,
     pattern_specialization,
     write_loading_csv,
     write_matrix_csv,
@@ -47,7 +46,15 @@ from .harness import (
     pretrain,
     run_gradcheck,
 )
-from .moe import MoeConfig, dispatch_batch, dispatch_loop, expand_supernet, load_balance_loss, split_ffn
+from .moe import (
+    MoeConfig,
+    assignment_fractions,
+    dispatch_batch,
+    dispatch_loop,
+    expand_supernet,
+    load_balance_loss,
+    split_ffn,
+)
 from .numkernel import KERNEL, STREAM_BENCH, ShapeError, make_rng
 from .serialize import (
     FormatError,
@@ -84,7 +91,6 @@ _SCHEMA = {
     "moe": {
         "n_replicas": (int, MoeConfig.n_replicas),
         "granularity": (int, MoeConfig.granularity),
-        "top_k": (int, MoeConfig.top_k),
         "seed": (int, 2),
     },
     "train": {
@@ -162,10 +168,14 @@ def _apply_seed_override(cfg: dict, seed: int | None) -> dict:
     return cfg
 
 
+def _at_least_one(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _resolve_threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {args.threads}")
-    return args.threads
+    return _at_least_one("--threads", args.threads)
 
 
 def _dtype_of(args):
@@ -212,10 +222,9 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
     write_summary_json(out_dir / "manifest.json", manifest)
 
 
-def _write_curves_csv(path, curves: list[dict]) -> None:
-    columns = ["step", "batch_mse", "probe_mse", "probe_mse_smoothed"]
-    if curves and "batch_aux" in curves[0]:
-        columns.append("batch_aux")
+def _write_curves_csv(path, curves: list[dict], with_aux: bool) -> None:
+    """One row per training step; a tune's rows add the balance loss, ``batch_aux``."""
+    columns = ["step", "batch_mse", "probe_mse", "probe_mse_smoothed"] + (["batch_aux"] if with_aux else [])
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
         for row in curves:
@@ -241,7 +250,7 @@ def cmd_pretrain(args) -> int:
     result = pretrain(task, model, train_cfg)
     write_manifest(out, "pretrain", args, cfg)
     save_toy_model(out / "base.ckpt", result.model)
-    _write_curves_csv(out / "curves.csv", result.curves)
+    _write_curves_csv(out / "curves.csv", result.curves, with_aux=False)
     write_summary_json(out / "metrics.json", {
         "mse": result.final_eval.mse,
         "steps": train_cfg.steps,
@@ -275,18 +284,13 @@ def _load_base(path, cfg: dict, args) -> ToyModel:
 def _moe_config(cfg: dict) -> MoeConfig:
     """The supernet config of a tune or ablate run, which must reproduce its base at step 0.
 
-    At step 0 a token's first ``granularity`` picks are the slices of one
-    replica, which sum to the base FFN only all together: with fewer picks
-    the step-0 identity check always fails, and with more the extra picks
-    add another replica's slices. Either config is rejected up front.
+    The config has no top_k: MoeConfig sets it to ``granularity``. At step 0
+    a token's first ``granularity`` picks are the slices of one replica,
+    which sum to the base FFN only all together: with fewer picks the step-0
+    identity check always fails, and with more the extra picks add another
+    replica's slices.
     """
-    moe_cfg = MoeConfig(token_dim=cfg["task"]["token_dim"], hidden_dim=cfg["model"]["hidden_dim"],
-                        **cfg["moe"])
-    k, g = moe_cfg.top_k, moe_cfg.granularity
-    if k != g:
-        raise ConfigError(f"moe.top_k {k} is {'below' if k < g else 'above'} moe.granularity {g}: "
-                          f"the expanded model cannot reproduce its base at step 0")
-    return moe_cfg
+    return MoeConfig(token_dim=cfg["task"]["token_dim"], hidden_dim=cfg["model"]["hidden_dim"], **cfg["moe"])
 
 
 def cmd_tune(args) -> int:
@@ -299,12 +303,12 @@ def cmd_tune(args) -> int:
     result = moe_tune(task, base, moe_cfg, train_cfg)
     write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base})
     save_toy_model(out / "tuned.ckpt", result.model)
-    _write_curves_csv(out / "curves.csv", result.curves)
+    _write_curves_csv(out / "curves.csv", result.curves, with_aux=True)
     write_summary_json(out / "metrics.json", result.metrics)
     write_trace_jsonl(out / "trace.jsonl", result.final_eval.trace)
     write_labels_csv(out / "labels.csv", result.final_eval.labels)
     write_matrix_csv(out / "coselection.csv", result.coselection)
-    write_loading_csv(out / "loading.csv", expert_loading(result.final_eval.trace))
+    write_loading_csv(out / "loading.csv", assignment_fractions(result.final_eval.trace))
     print(f"tune done: base mse {result.metrics['base_mse']:.6g} -> "
           f"tuned mse {result.metrics['mse']:.6g}, nmi {result.metrics['nmi']:.3f} -> {out}")
     return 0
@@ -334,7 +338,7 @@ def cmd_analyze(args) -> int:
     trace = read_trace_jsonl(args.trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    loading = expert_loading(trace)
+    loading = assignment_fractions(trace)
     nmi = None
     if args.labels:
         nmi = pattern_specialization(trace, read_labels_csv(args.labels, trace.n_tokens))
@@ -349,7 +353,7 @@ def cmd_analyze(args) -> int:
     write_summary_json(out / "summary.json", {
         "loss": load_balance_loss(trace),
         "nmi": nmi,
-        "loading": [float(x) for x in loading.fractions],
+        "loading": [float(x) for x in loading],
         "coselection_path": coselection_path.name,
     })
     print(f"analyze done: balance loss {load_balance_loss(trace):.6g} -> {out}")
@@ -375,7 +379,7 @@ def _parse_sizes(sizes_arg: str | None):
 
 def cmd_gradcheck(args) -> int:
     report = run_gradcheck(seed=args.seed if args.seed is not None else 0,
-                           n_instances=args.instances, alpha=args.alpha,
+                           n_instances=_at_least_one("--instances", args.instances), alpha=args.alpha,
                            dims=_parse_sizes(args.sizes))
     for group, err in sorted(report["groups"].items()):
         print(f"group {group:<8} max relative error {err:.3e}")
@@ -392,6 +396,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_bench_dispatch(args) -> int:
     threads = _resolve_threads(args)
+    n = _at_least_one("--tokens", args.tokens)
     dtype = _dtype_of(args)
     rng = make_rng(args.seed if args.seed is not None else 0, STREAM_BENCH)
     # the config checks the dimensions before init_ffn draws arrays of them
@@ -403,7 +408,7 @@ def cmd_bench_dispatch(args) -> int:
     # nudge the router off the grouped init so expert loads are realistic
     nudge = (0.5 * rng.normal(size=layer.router.w_r.shape) / np.sqrt(args.token_dim)).astype(dtype)
     layer.router.w_r = layer.router.w_r + nudge
-    tokens = rng.normal(size=(args.tokens, args.token_dim)).astype(dtype)
+    tokens = rng.normal(size=(n, args.token_dim)).astype(dtype)
 
     t0 = time.perf_counter()
     out_batched, trace_batched = dispatch_batch(layer, tokens, threads)
@@ -420,7 +425,6 @@ def cmd_bench_dispatch(args) -> int:
         print("batched dispatch does not match the per-token loop; timings withheld",
               file=sys.stderr)
         return 1
-    n = max(args.tokens, 1)
     print(f"naive loop      : {loop_s:.3f} s  ({n / loop_s:,.0f} tokens/s)")
     print(f"batched dispatch: {batched_s:.3f} s  ({n / batched_s:,.0f} tokens/s)")
     print(f"speedup: {loop_s / batched_s:.2f}x (threads={threads})")

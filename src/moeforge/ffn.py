@@ -1,9 +1,9 @@
 """Two-layer feed-forward network: parameters, forward pass, manual backward.
 
-The network computes ``w2 @ act(w1 @ x + b1) + b2``. A single-token forward
-is defined as the one-row case of the batched call, so looping tokens one at
-a time and pushing them through in a batch give bitwise identical rows. The
-backward works on batches only.
+The network computes ``w2 @ act(w1 @ x + b1) + b2`` over a (tokens, dim)
+batch; a single token is the one-row case of :func:`ffn_forward_batch`, so
+looping tokens one at a time and pushing them through in a batch give
+bitwise identical rows.
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ def ffn_forward_batch(p: FfnParams, x: np.ndarray) -> np.ndarray:
     act, _ = activation_pair(p.activation)
     hidden = act(mm(x, p.w1.T) + p.b1)
     return mm(hidden, p.w2.T) + p.b2
-
-
-def ffn_forward(p: FfnParams, x: np.ndarray) -> np.ndarray:
-    """Forward for a single token vector; the one-row case of the batch path."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != p.token_dim:
-        raise ShapeError("ffn_forward", x.shape, p.w1.shape)
-    return ffn_forward_batch(p, x[None, :])[0]
 
 
 def ffn_backward_batch(p: FfnParams, x: np.ndarray, upstream: np.ndarray):

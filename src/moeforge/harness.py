@@ -560,6 +560,8 @@ def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
     is ``max|analytic - fd| / max(max|analytic|, max|fd|, 1e-6)``. A second
     pass with alpha = 0 confirms the router gradient vanishes identically.
     """
+    if n_instances < 1:
+        raise ValueError(f"run_gradcheck: n_instances must be >= 1, got {n_instances}")
     if grad_fn is None:
         grad_fn = _collect_grads
     rng = make_rng(seed, STREAM_TRAIN)

@@ -11,20 +11,22 @@ The pieces, in the order a layer comes to life:
 * :func:`init_router` draws one centroid row per replica and repeats it
   ``granularity`` times, so at step 0 the top-k selection lands on the k
   slices of a single replica and the layer reproduces the base FFN.
-* :func:`moe_forward` / :func:`dispatch_batch` run tokens through the layer.
-  ``dispatch_batch`` checks the (tokens, top_k) selection, sorts its
-  assignments by expert once and lays them out as expert-contiguous row
-  blocks (:func:`row_blocks`), walked in chunks of consecutive experts under
-  a fixed workspace cap (:data:`CHUNK_ELEMENTS`), at every batch size and
-  thread count. Each FFN layer of a chunk is one grouped product over its
-  experts, or one product per expert where the weights are too large to
-  gather, and each token's rows are added into a
-  zeroed output slot by slot, chunk after chunk. The output is bitwise
-  identical to looping ``moe_forward`` over tokens (:func:`dispatch_loop`):
-  chunks ascend by expert and selections ascend strictly along a row, so
-  both add the selected experts' outputs in ascending expert order on top
-  of a zero buffer, and all matrix products share the kernel's row-stable
-  reduction order. Training lays its whole batch out as one chunk
+* :func:`dispatch_loop` / :func:`dispatch_batch` run tokens through the layer.
+  ``dispatch_loop`` is the per-token reference: each token is a one-row
+  batch through :func:`route_batch`, :func:`top_k_select_rows` and
+  :func:`~moeforge.ffn.ffn_forward_batch`. ``dispatch_batch`` checks the
+  (tokens, top_k) selection, sorts its assignments by expert once and lays
+  them out as expert-contiguous row blocks (:func:`row_blocks`), walked in
+  chunks of consecutive experts under a fixed workspace cap
+  (:data:`CHUNK_ELEMENTS`), at every batch size and thread count. Each FFN
+  layer of a chunk is one grouped product over its experts, or one product
+  per expert where the weights are too large to gather, and each token's
+  rows are added into a zeroed output slot by slot, chunk after chunk. The
+  output is bitwise identical to ``dispatch_loop``'s: chunks ascend by
+  expert and selections ascend strictly along a row, so both add the
+  selected experts' outputs in ascending expert order on top of a zero
+  buffer, and all matrix products share the kernel's row-stable reduction
+  order. Training lays its whole batch out as one chunk
   (:func:`dispatch_whole`), and the backward reuses that layout, padded
   input and pre-activation (:func:`grouped_backward`), filling one gradient
   stack with a zero row for each expert left empty.
@@ -111,14 +113,6 @@ class RouterParams:
 
     def copy(self) -> "RouterParams":
         return RouterParams(self.w_r.copy(), self.b_r.copy())
-
-
-@dataclass(frozen=True)
-class Gate:
-    """One token's routing outcome: ascending selected indices + full score vector."""
-
-    selected: tuple[int, ...]
-    scores: np.ndarray
 
 
 @dataclass
@@ -244,14 +238,6 @@ def route_batch(r: RouterParams, tokens: np.ndarray) -> np.ndarray:
     return softmax_rows(z)
 
 
-def route(r: RouterParams, x: np.ndarray) -> np.ndarray:
-    """Score vector for a single token; the one-row case of route_batch."""
-    x = np.asarray(x)
-    if x.ndim != 1 or x.shape[0] != r.w_r.shape[1]:
-        raise ShapeError("route", x.shape, r.w_r.shape)
-    return route_batch(r, x[None, :])[0]
-
-
 def top_k_select_rows(scores: np.ndarray, top_k: int) -> np.ndarray:
     """Ascending indices of the top_k largest entries per row.
 
@@ -287,53 +273,29 @@ def _top_k_by_argsort(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.sort(order[..., :top_k], axis=-1)
 
 
-def top_k_gate(scores: np.ndarray, top_k: int) -> Gate:
-    """Hard top-k gate over one score vector."""
-    scores = np.asarray(scores)
-    if scores.ndim != 1:
-        raise ShapeError("top_k_gate", scores.shape)
-    sel = top_k_select_rows(scores[None, :], top_k)[0]
-    return Gate(tuple(int(i) for i in sel), scores)
-
-
-def moe_forward(layer: MoeLayer, x: np.ndarray):
-    """Route one token and sum the selected experts' outputs.
-
-    Accumulation starts from a zero buffer and adds experts in ascending
-    index order, the exact fold dispatch_batch reproduces.
-    """
-    x = np.asarray(x)
-    cfg = layer.config
-    if x.ndim != 1 or x.shape[0] != cfg.token_dim:
-        raise ShapeError("moe_forward", x.shape, (cfg.token_dim,))
-    scores = route(layer.router, x)
-    gate = top_k_gate(scores, cfg.top_k)
-    out = np.zeros(cfg.token_dim, dtype=np.result_type(x, layer.experts.w1))
-    for i in gate.selected:
-        out += ffn_forward_batch(layer.experts[i], x[None])[0]
-    return out, gate
-
-
 def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
-    """Sequential reference path: one moe_forward call per token.
+    """Sequential reference path: each token routed, gated and evaluated as a one-row batch.
 
     This is the plain loop the batched engine is checked against (and the
-    baseline the bench command times). Each token's output, scores and
-    selection fill one row of arrays shaped and typed as dispatch_batch's,
-    an empty batch included.
+    baseline the bench command times). A token's selected experts are added
+    on top of a zero row in ascending index order, the exact fold
+    dispatch_batch reproduces. Output, scores and selection are shaped and
+    typed as dispatch_batch's, an empty batch included.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
     if tokens.ndim != 2 or tokens.shape[1] != cfg.token_dim:
         raise ShapeError("dispatch_loop", tokens.shape, (cfg.token_dim,))
     n = tokens.shape[0]
-    out = np.empty((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
+    out = np.zeros((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
     scores = np.empty((n, cfg.n_experts), dtype=np.result_type(tokens, layer.router.w_r, layer.router.b_r))
     selected = np.empty((n, cfg.top_k), dtype=np.int64)
     for t in range(n):
-        out[t], gate = moe_forward(layer, tokens[t])
-        scores[t] = gate.scores
-        selected[t] = gate.selected
+        x = tokens[t:t + 1]
+        scores[t] = route_batch(layer.router, x)[0]
+        selected[t] = top_k_select_rows(scores[t:t + 1], cfg.top_k)[0]
+        for e in selected[t].tolist():
+            out[t] += ffn_forward_batch(layer.experts[e], x)[0]
     return out, RoutingTrace(cfg.top_k, scores, selected)
 
 
@@ -534,8 +496,8 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     bench-dispatch default shape on 2 vCPUs, 0.23 s a call against 0.33 s
     with BLAS threads on top. Chunks ascend by expert and selections ascend
     strictly along a row, so every token gets zero plus its experts in
-    ascending order, the fold of :func:`moe_forward`: with the kernel's
-    row-stable products the result is bitwise :func:`dispatch_loop`'s at
+    ascending order, as in :func:`dispatch_loop`: with the kernel's
+    row-stable products the result is bitwise dispatch_loop's at
     any batch size and thread count.
     """
     hidden, dim = layer.experts.w1.shape[1:]

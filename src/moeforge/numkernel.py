@@ -1,8 +1,8 @@
 """Dense numeric kernel: matrix products, row softmax, activations, RNG.
 
-Values are plain numpy arrays: a ``Matrix`` is a 2-D float array with
-row-major semantics, a ``Vector`` is 1-D. float64 is the default precision;
-float32 is an opt-in mode and callers using it must relax tolerances.
+Values are plain numpy ``ndarray``s: matrices are 2-D float arrays with
+row-major semantics. float64 is the default precision; float32 is an
+opt-in mode and callers using it must relax tolerances.
 
 Reproducibility contract
 ------------------------
@@ -69,8 +69,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-Matrix = np.ndarray  # 2-D, row-major
-Vector = np.ndarray  # 1-D
 
 # Stream ids for make_rng; unique across the package so one user seed never
 # feeds the same underlying sequence to two consumers.
@@ -105,7 +103,7 @@ class ShapeError(ValueError):
 ROW_BLOCK = 64
 
 
-def _mm_blocked(a: Matrix, b: Matrix) -> Matrix:
+def _mm_blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, n = a.shape
     blocks = -(-m // ROW_BLOCK)
     if m % ROW_BLOCK:
@@ -116,7 +114,7 @@ def _mm_blocked(a: Matrix, b: Matrix) -> Matrix:
     return out.reshape(blocks * ROW_BLOCK, b.shape[1])[:m]
 
 
-def _mm_einsum(a: Matrix, b: Matrix) -> Matrix:
+def _mm_einsum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("mn,np->mp", a, b)
 
 
@@ -188,7 +186,7 @@ if not _groups_match(_kernel, _grouped):
     _grouped = _grouped_per_block
 
 
-def mm(a: Matrix, b: Matrix) -> Matrix:
+def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-stable matrix product ``a @ b``; see the module docstring.
 
     Operands are brought to C-contiguous layout first, so the kernel (and
@@ -202,7 +200,7 @@ def mm(a: Matrix, b: Matrix) -> Matrix:
     return _kernel(np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
-def mm_grouped(a: Matrix, w: np.ndarray, block_expert: np.ndarray) -> Matrix:
+def mm_grouped(a: np.ndarray, w: np.ndarray, block_expert: np.ndarray) -> np.ndarray:
     """Row-block grouped product: block g of ``a`` times ``w[block_expert[g]]``.
 
     ``a`` is (G * ROW_BLOCK, n), G whole blocks of rows; ``w`` is an (E, n, p)
@@ -281,7 +279,7 @@ def single_blas_thread():
 _NARROW_ROWS = 16
 
 
-def softmax_rows(z: Matrix) -> Matrix:
+def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax, max-stabilized; bitwise row-stable."""
     z = np.asarray(z)
     if z.ndim != 2 or z.shape[1] == 0:

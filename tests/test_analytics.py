@@ -10,7 +10,6 @@ import pytest
 from moeforge.analytics import (
     CoSelectionMatrix,
     co_selection,
-    expert_loading,
     mean_partner_count,
     pattern_specialization,
     search_space_size,
@@ -83,27 +82,26 @@ class TestCoSelection:
 class TestExpertLoading:
     def test_uniform(self):
         rows = [[0, 1], [2, 3], [4, 5], [6, 7]]
-        loading = expert_loading(_trace(rows, 8))
-        assert np.array_equal(loading.fractions, np.full(8, 1 / 8))
+        assert np.array_equal(assignment_fractions(_trace(rows, 8)), np.full(8, 1 / 8))
 
     def test_concentrated(self):
-        loading = expert_loading(_trace([[0, 1]] * 9, 6))
-        assert np.array_equal(loading.fractions, np.array([0.5, 0.5, 0, 0, 0, 0]))
+        assert np.array_equal(assignment_fractions(_trace([[0, 1]] * 9, 6)), np.array([0.5, 0.5, 0, 0, 0, 0]))
 
     def test_identical_to_balance_loss_fractions(self, rng):
-        # single shared definition: the balance loss's F and the loading must agree exactly
+        # single shared definition: the loading is exactly the balance loss's F term
         layer, _, cfg = random_layer(rng, perturb=0.4)
         _, trace = dispatch_batch(layer, rng.normal(size=(77, cfg.token_dim)))
-        assert np.array_equal(expert_loading(trace).fractions, assignment_fractions(trace))
+        f = assignment_fractions(trace)
+        assert load_balance_loss(trace) == float(cfg.n_experts * np.sum(f * trace.scores.mean(axis=0)))
 
     def test_sums_to_one(self, rng):
         layer, _, cfg = random_layer(rng)
         _, trace = dispatch_batch(layer, rng.normal(size=(33, cfg.token_dim)))
-        assert abs(expert_loading(trace).fractions.sum() - 1.0) <= 1e-12
+        assert abs(assignment_fractions(trace).sum() - 1.0) <= 1e-12
 
     def test_empty_trace(self):
         with pytest.raises(ValueError):
-            expert_loading(RoutingTrace(2, np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64)))
+            assignment_fractions(RoutingTrace(2, np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64)))
 
 
 class TestPatternSpecialization:
@@ -192,13 +190,13 @@ class TestExports:
         assert np.array_equal(parsed, m.values)
 
     def test_loading_csv_roundtrip(self, tmp_path):
-        loading = expert_loading(_trace([[0, 1], [2, 3]], 4))
+        loading = assignment_fractions(_trace([[0, 1], [2, 3]], 4))
         path = tmp_path / "loading.csv"
         write_loading_csv(path, loading)
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["0", "1", "2", "3"]
-        assert np.array_equal(np.array([float(v) for v in rows[1]]), loading.fractions)
+        assert np.array_equal(np.array([float(v) for v in rows[1]]), loading)
 
     def test_summary_json(self, tmp_path, rng):
         layer, _, cfg = random_layer(rng)
@@ -207,7 +205,7 @@ class TestExports:
         write_summary_json(path, {
             "loss": load_balance_loss(trace),
             "nmi": None,
-            "loading": [float(x) for x in expert_loading(trace).fractions],
+            "loading": [float(x) for x in assignment_fractions(trace)],
             "coselection_path": "co.csv",
         })
         loaded = json.loads(path.read_text())

@@ -147,6 +147,8 @@ class TestTuneCommand:
         assert code == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert abs(metrics["mse"] - metrics["base_mse"]) <= 1e-9
+        # a tune's curves carry batch_aux, rows or no rows
+        assert (out / "curves.csv").read_text() == "step,batch_mse,probe_mse,probe_mse_smoothed,batch_aux\n"
 
     def test_missing_checkpoint_exits_2(self, tmp_path):
         config = write_config(tmp_path)
@@ -177,28 +179,28 @@ class TestTuneCommand:
 
     @pytest.mark.parametrize("command", ["tune", "ablate"])
     def test_top_k_below_granularity_exits_2_before_any_work(self, tmp_path, pretrained, capsys, command):
-        # k of a replica's g slices cannot sum to the base FFN, so step 0
-        # could never reproduce the base; nothing is evaluated or written
+        # k of a replica's g slices cannot sum to the base FFN, so the config
+        # has no top_k key; nothing is evaluated or written
         ckpt, _ = pretrained
         config = write_config(tmp_path, {"moe": {"top_k": 1}}, name="k1.json")
         capsys.readouterr()
         out = tmp_path / "k1"
         assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
-        assert "config error: moe.top_k 1 is below moe.granularity 2" in capsys.readouterr().err
+        assert f"config error: {config}: unknown key 'moe.top_k'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["tune", "ablate"])
     @pytest.mark.parametrize("top_k", [3, 4])
     def test_top_k_above_granularity_exits_2_before_any_work(self, tmp_path, pretrained, capsys, command, top_k):
         # past one replica's g slices, the picks add a second replica's
-        # slices to the base output, so step 0 could never reproduce it
+        # slices to the base output, so the config has no top_k key
         ckpt, _ = pretrained
         config = write_config(tmp_path, {"moe": {"top_k": top_k}}, name=f"k{top_k}.json")
         capsys.readouterr()
         out = tmp_path / f"k{top_k}"
         assert main([command, "--config", str(config), "--base", str(ckpt), "--out", str(out)]) == 2
-        assert f"config error: moe.top_k {top_k} is above moe.granularity 2" in capsys.readouterr().err
-        assert not (out / "metrics.json").exists()
+        assert f"config error: {config}: unknown key 'moe.top_k'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_internal_shape_error_exits_6(self, tmp_path, pretrained, capsys, monkeypatch):
         ckpt, config = pretrained
@@ -357,7 +359,7 @@ class TestAnalyzeCommand:
         assert json.loads(summary)["coselection_path"] == "coselection.csv"
 
     def test_top1_tune_trace_is_analyzed(self, tmp_path):
-        config = write_config(tmp_path, {"moe": {"granularity": 1, "top_k": 1}})
+        config = write_config(tmp_path, {"moe": {"granularity": 1}})
         _, pre_dir, _ = run_pretrain(tmp_path, config=config)
         tune_out = tmp_path / "tr"
         assert main(["tune", "--config", str(config), "--base", str(pre_dir / "base.ckpt"),
@@ -390,6 +392,14 @@ class TestGradcheckCommand:
 
     def test_oversized_sizes_rejected(self):
         assert main(["gradcheck", "--sizes", "128x256x4x2"]) == 2
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_instances_below_one_rejected(self, capsys, instances):
+        # zero instances would check nothing and pass
+        assert main(["gradcheck", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --instances must be >= 1, got {instances}" in captured.err
+        assert "PASS" not in captured.out
 
     def test_corrupted_backward_exits_5(self, capsys, monkeypatch):
         real = moeforge.harness._collect_grads
@@ -424,7 +434,7 @@ class TestDefaultConfig:
     EVERY_KEY_CHANGED = {
         "task": {"n_patterns": 3, "token_dim": 6, "noise_std": 0.05, "center_scale": 2.5, "seed": 11},
         "model": {"hidden_dim": 12, "activation": "gelu", "seed": 12},
-        "moe": {"n_replicas": 3, "granularity": 3, "top_k": 3, "seed": 13},
+        "moe": {"n_replicas": 3, "granularity": 3, "seed": 13},
         "train": {"lr": 0.01, "lr_head": 0.005, "lr_router": 0.02, "steps": 7, "batch": 9, "alpha": 0.5,
                   "optimizer": "adamw", "eval_tokens": 100, "probe_tokens": 10, "seed": 14,
                   "trainable": {"moe": False, "head": False, "map": True}},
@@ -448,9 +458,7 @@ class TestDefaultConfig:
             cfg["task"][k] for k in ("n_patterns", "token_dim", "noise_std", "seed"))
         assert (model.block.hidden_dim, model.block.activation) == (cfg["model"]["hidden_dim"],
                                                                     cfg["model"]["activation"])
-        # top_k 0 tracks granularity
-        assert {k: getattr(moe, k) for k in cfg["moe"]} == {**cfg["moe"],
-                                                            "top_k": cfg["moe"]["top_k"] or moe.granularity}
+        assert {k: getattr(moe, k) for k in cfg["moe"]} == cfg["moe"] and moe.top_k == moe.granularity
         trainable = cfg["train"]["trainable"]
         assert {k: getattr(train, k) for k in cfg["train"] if k != "trainable"} == {
             k: v for k, v in cfg["train"].items() if k != "trainable"}
@@ -499,6 +507,14 @@ class TestBenchCommand:
                      "--hidden", "16", "--replicas", "2", "--granularity", "2"])
         assert code == 0
         assert "equivalence: identical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tokens", ["0", "-3"])
+    def test_tokens_below_one_rejected(self, capsys, tokens):
+        # an empty batch has no throughput to report
+        assert main(["bench-dispatch", "--tokens", tokens, "--token-dim", "8", "--hidden", "16"]) == 2
+        captured = capsys.readouterr()
+        assert f"config error: --tokens must be >= 1, got {tokens}" in captured.err
+        assert "tokens/s" not in captured.out
 
     def test_mismatch_exits_nonzero_without_timings(self, capsys, monkeypatch):
         # correctness outranks speed: a disagreement must fail before timing output
@@ -588,7 +604,7 @@ def test_module_entrypoint_runs():
     ("pretrain", "train", {"batch": 0}, "TrainConfig: batch must be >= 1, got 0"),
     ("pretrain", "model", {"activation": "tanh"}, "unknown activation 'tanh'"),
     ("pretrain", "task", {"noise_std": -1}, "SyntheticTask: noise_std must be >= 0, got -1"),
-    ("tune", "moe", {"granularity": 5, "top_k": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
+    ("tune", "moe", {"granularity": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
 ], ids=["train", "model", "task", "moe"])
 def test_constructor_error_names_file_and_section(tmp_path, capsys, command, section, content, message):
     config = write_config(tmp_path, {section: content}, name="bad.json")

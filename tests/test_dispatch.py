@@ -9,7 +9,7 @@ import pytest
 from moeforge import moe, numkernel
 from moeforge.ffn import FfnParams
 from moeforge.moe import (MoeConfig, MoeLayer, RouterParams, RoutingTrace, dispatch_batch, dispatch_loop,
-                          expand_supernet, moe_forward)
+                          expand_supernet)
 from moeforge.numkernel import ShapeError, make_rng
 
 from conftest import random_ffn, random_layer
@@ -43,13 +43,10 @@ def _assert_identical(a, b):
 
 
 def test_single_token_equals_moe_forward(rng):
+    # a one-token batch: dispatch_loop routes, gates and sums its experts once
     layer, _, cfg = random_layer(rng)
     x = rng.normal(size=(1, cfg.token_dim))
-    out, trace = dispatch_batch(layer, x)
-    y, gate = moe_forward(layer, x[0])
-    assert np.array_equal(out[0], y)
-    assert tuple(trace.selected[0]) == gate.selected
-    assert np.array_equal(trace.scores[0], gate.scores)
+    _assert_identical(dispatch_batch(layer, x), dispatch_loop(layer, x))
 
 
 def test_empty_batch_boundary(rng):

@@ -4,7 +4,6 @@ import pytest
 from moeforge.ffn import (
     FfnParams,
     ffn_backward_batch,
-    ffn_forward,
     ffn_forward_batch,
     init_ffn,
 )
@@ -15,7 +14,7 @@ from conftest import random_ffn
 
 def test_forward_identity_weights():
     p = FfnParams(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), "relu")
-    assert np.array_equal(ffn_forward(p, np.array([1.0, -1.0])), np.array([1.0, 0.0]))
+    assert np.array_equal(ffn_forward_batch(p, np.array([[1.0, -1.0]]))[0], np.array([1.0, 0.0]))
 
 
 def test_forward_zero_input_closed_form(rng):
@@ -23,14 +22,14 @@ def test_forward_zero_input_closed_form(rng):
     for _ in range(10):
         p = random_ffn(rng, 4, 7)
         expected = p.w2 @ relu(p.b1) + p.b2
-        assert np.allclose(ffn_forward(p, np.zeros(4)), expected, atol=1e-14)
+        assert np.allclose(ffn_forward_batch(p, np.zeros((1, 4)))[0], expected, atol=1e-14)
 
 
 def test_forward_hand_oracle():
     # D=1, H=2: 1*2 + 1*3 + 4 = 9
     p = FfnParams(np.array([[2.0], [3.0]]), np.zeros(2),
                   np.array([[1.0, 1.0]]), np.array([4.0]), "relu")
-    assert ffn_forward(p, np.array([1.0]))[0] == 9.0
+    assert ffn_forward_batch(p, np.array([[1.0]]))[0, 0] == 9.0
 
 
 def test_batched_equals_looped_bitwise(rng):
@@ -39,7 +38,7 @@ def test_batched_equals_looped_bitwise(rng):
         x = rng.normal(size=(23, 6))
         batched = ffn_forward_batch(p, x)
         for t in range(23):
-            assert np.array_equal(batched[t], ffn_forward(p, x[t]))
+            assert np.array_equal(batched[t], ffn_forward_batch(p, x[t:t + 1])[0])
 
 
 def test_positive_homogeneity_in_w2(rng):
@@ -48,8 +47,8 @@ def test_positive_homogeneity_in_w2(rng):
     p = FfnParams(p.w1, p.b1, p.w2, np.zeros(5), "relu")
     doubled = FfnParams(p.w1, p.b1, 2.0 * p.w2, np.zeros(5), "relu")
     for _ in range(20):
-        x = rng.normal(size=5)
-        assert np.array_equal(ffn_forward(doubled, x), 2.0 * ffn_forward(p, x))
+        x = rng.normal(size=(1, 5))
+        assert np.array_equal(ffn_forward_batch(doubled, x), 2.0 * ffn_forward_batch(p, x))
 
 
 def _backward_row(p, x, upstream):
@@ -82,18 +81,18 @@ def _fd_check(p, x, upstream, h=1e-6, rtol=1e-5):
         for idx in np.ndindex(param.shape):
             orig = param[idx]
             param[idx] = orig + h
-            up = float(upstream @ ffn_forward(p, x))
+            up = float(upstream @ ffn_forward_batch(p, x[None])[0])
             param[idx] = orig - h
-            down = float(upstream @ ffn_forward(p, x))
+            down = float(upstream @ ffn_forward_batch(p, x[None])[0])
             param[idx] = orig
             fd = (up - down) / (2 * h)
             assert abs(grad[idx] - fd) <= rtol * max(abs(grad[idx]), abs(fd), 1e-4)
     for i in range(x.shape[0]):
         orig = x[i]
         x[i] = orig + h
-        up = float(upstream @ ffn_forward(p, x))
+        up = float(upstream @ ffn_forward_batch(p, x[None])[0])
         x[i] = orig - h
-        down = float(upstream @ ffn_forward(p, x))
+        down = float(upstream @ ffn_forward_batch(p, x[None])[0])
         x[i] = orig
         fd = (up - down) / (2 * h)
         assert abs(dx[i] - fd) <= rtol * max(abs(dx[i]), abs(fd), 1e-4)
@@ -145,8 +144,6 @@ def test_param_validation():
 
 def test_forward_shape_errors(rng):
     p = random_ffn(rng, 4, 6)
-    with pytest.raises(ShapeError):
-        ffn_forward(p, np.zeros(5))
     with pytest.raises(ShapeError):
         ffn_forward_batch(p, np.zeros((3, 5)))
     with pytest.raises(ShapeError):
@@ -202,7 +199,6 @@ def test_stack_rejected_where_one_ffn_expected(rng):
     x = rng.normal(size=(5, 4))
     calls = [
         lambda: ffn_forward_batch(stack, x),
-        lambda: ffn_forward(stack, x[0]),
         lambda: ffn_backward_batch(stack, x, x),
         lambda: _dump_ffn(io.BytesIO(), stack),
         lambda: split_ffn(stack, 1),

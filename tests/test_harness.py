@@ -482,6 +482,12 @@ class TestGradcheck:
         assert all(err <= report["tol"] for err in report["groups"].values())
         assert report["alpha_zero_router_max"] == 0.0
 
+    @pytest.mark.parametrize("n_instances", [0, -1])
+    def test_no_instances_rejected(self, n_instances):
+        # zero instances would check nothing and pass; a negative count ran one
+        with pytest.raises(ValueError, match="n_instances must be >= 1"):
+            run_gradcheck(seed=0, n_instances=n_instances)
+
     def test_corrupted_gradients_fail(self):
         from moeforge.harness import _collect_grads
 

@@ -6,22 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moeforge.ffn import FfnParams, ffn_forward, ffn_forward_batch
+from moeforge.ffn import FfnParams, ffn_forward_batch
 from moeforge.moe import (
     MoeConfig,
     RouterParams,
     RoutingTrace,
     assignment_fractions,
     balance_loss_backward,
+    dispatch_loop,
     expand_supernet,
     init_router,
     load_balance_loss,
-    moe_forward,
-    route,
     route_batch,
     row_blocks,
     split_ffn,
-    top_k_gate,
     top_k_select_rows,
     total_loss,
 )
@@ -60,9 +58,10 @@ class TestSplitFfn:
         assert np.array_equal(e0.w1, [[2.0]]) and np.array_equal(e1.w1, [[3.0]])
         assert np.array_equal(e0.w2, [[1.0]]) and np.array_equal(e1.w2, [[1.0]])
         assert e0.b2[0] == 2.0 and e1.b2[0] == 2.0
-        x = np.array([1.0])
-        assert ffn_forward(e0, x)[0] == 4.0 and ffn_forward(e1, x)[0] == 5.0
-        assert ffn_forward(e0, x)[0] + ffn_forward(e1, x)[0] == ffn_forward(p, x)[0] == 9.0
+        x = np.array([[1.0]])
+        y0, y1, y = (ffn_forward_batch(f, x)[0, 0] for f in (e0, e1, p))
+        assert y0 == 4.0 and y1 == 5.0
+        assert y0 + y1 == y == 9.0
 
     @pytest.mark.parametrize("granularity", [2, 4, 8])
     def test_sum_identity(self, granularity):
@@ -167,22 +166,22 @@ class TestInitRouter:
         base = random_ffn(rng, 6, 12)
         cfg = MoeConfig(token_dim=6, hidden_dim=12, n_replicas=4, granularity=3, seed=5)
         layer = expand_supernet(base, cfg)
-        for _ in range(200):
-            _, gate = moe_forward(layer, rng.normal(size=6))
-            replicas = {i // cfg.granularity for i in gate.selected}
+        _, trace = dispatch_loop(layer, rng.normal(size=(200, 6)))
+        for selected in trace.selected.tolist():
+            replicas = {i // cfg.granularity for i in selected}
             assert len(replicas) == 1
-            assert len(gate.selected) == cfg.granularity
+            assert len(selected) == cfg.granularity
 
 
 class TestRoute:
     def test_zero_router_uniform(self):
         r = RouterParams(np.zeros((4, 3)), np.zeros(4))
-        assert np.array_equal(route(r, np.array([1.0, -2.0, 0.5])), np.full(4, 0.25))
+        assert np.array_equal(route_batch(r, np.array([[1.0, -2.0, 0.5]]))[0], np.full(4, 0.25))
 
     def test_grouped_scores_at_init(self, rng):
         cfg = MoeConfig(token_dim=5, hidden_dim=10, n_replicas=3, granularity=2, seed=2)
         r = init_router(cfg, make_rng(2))
-        s = route(r, rng.normal(size=5))
+        s = route_batch(r, rng.normal(size=(1, 5)))[0]
         for rep in range(3):
             assert s[2 * rep] == s[2 * rep + 1]
 
@@ -194,7 +193,7 @@ class TestRoute:
         peak = max(logits)
         exps = [math.exp(z - peak) for z in logits]
         expected = [e / sum(exps) for e in exps]
-        assert np.allclose(route(r, x), expected, atol=1e-12)
+        assert np.allclose(route_batch(r, x[None])[0], expected, atol=1e-12)
 
     def test_sums_to_one(self, rng):
         r = RouterParams(rng.normal(size=(8, 5)), rng.normal(size=8))
@@ -204,26 +203,25 @@ class TestRoute:
     def test_dimension_mismatch(self, rng):
         r = RouterParams(rng.normal(size=(4, 3)), np.zeros(4))
         with pytest.raises(ShapeError):
-            route(r, np.zeros(5))
+            route_batch(r, np.zeros((1, 5)))
 
 
 class TestTopKGate:
     def test_example(self):
-        gate = top_k_gate(np.array([0.1, 0.5, 0.4]), 2)
-        assert gate.selected == (1, 2)
+        assert top_k_select_rows(np.array([[0.1, 0.5, 0.4]]), 2)[0].tolist() == [1, 2]
 
     def test_tie_breaks_to_lowest_index(self):
-        assert top_k_gate(np.array([0.5, 0.5, 0.0]), 1).selected == (0,)
-        assert top_k_gate(np.array([0.25, 0.25, 0.25, 0.25]), 2).selected == (0, 1)
+        assert top_k_select_rows(np.array([[0.5, 0.5, 0.0]]), 1)[0].tolist() == [0]
+        assert top_k_select_rows(np.array([[0.25, 0.25, 0.25, 0.25]]), 2)[0].tolist() == [0, 1]
 
     def test_cardinality(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 12))
             k = int(rng.integers(1, n + 1))
-            gate = top_k_gate(rng.random(n), k)
-            assert len(gate.selected) == k
-            assert len(set(gate.selected)) == k
-            assert list(gate.selected) == sorted(gate.selected)
+            selected = top_k_select_rows(rng.random((1, n)), k)[0].tolist()
+            assert len(selected) == k
+            assert len(set(selected)) == k
+            assert selected == sorted(selected)
 
     def test_agrees_with_sort_oracle(self):
         rng = make_rng(17)
@@ -234,17 +232,17 @@ class TestTopKGate:
                 s = np.round(s, 1)  # engineered ties
             k = int(rng.integers(1, n + 1))
             oracle = sorted(sorted(range(n), key=lambda i: (-s[i], i))[:k])
-            assert list(top_k_gate(s, k).selected) == oracle
+            assert top_k_select_rows(s[None], k)[0].tolist() == oracle
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            top_k_gate(np.array([0.5, 0.5]), 3)
+            top_k_select_rows(np.array([[0.5, 0.5]]), 3)
         with pytest.raises(ValueError):
             top_k_select_rows(np.zeros((2, 3)), 0)
 
     def test_deterministic_across_runs(self, rng):
         s = rng.random(9)
-        assert top_k_gate(s, 3).selected == top_k_gate(s.copy(), 3).selected
+        assert np.array_equal(top_k_select_rows(s[None], 3), top_k_select_rows(s[None].copy(), 3))
 
 
 def _top_k_reference(scores, k):
@@ -277,7 +275,7 @@ class TestTopKSelectRowsProperty:
             assert got.shape == (t, k)
             assert np.array_equal(got, _top_k_reference(scores, k))
             for row in scores:
-                assert top_k_gate(row, k).selected == tuple(int(i) for i in _top_k_reference(row, k))
+                assert np.array_equal(top_k_select_rows(row[None], k)[0], _top_k_reference(row, k))
         assert np.array_equal(scores, before, equal_nan=True)
 
     def test_router_scale_rows(self, rng):
@@ -388,36 +386,36 @@ class TestGroupByExpert:
     @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
     def test_rows_must_ascend_strictly(self, row):
         # a repeated expert would be added once, not twice; a descending
-        # row would be added out of moe_forward's order
+        # row would be added out of dispatch_loop's order
         with pytest.raises(ValueError, match="ascend strictly"):
             row_blocks(np.array([[0, 1], row]), 5)
 
 
-class TestMoeForward:
+class TestDispatchLoop:
     def test_init_identity(self, rng):
         base = random_ffn(rng, 6, 12)
         layer = expand_supernet(base, MoeConfig(token_dim=6, hidden_dim=12,
                                                 n_replicas=3, granularity=2, seed=9))
-        for _ in range(100):
-            x = rng.normal(size=6)
-            y, _ = moe_forward(layer, x)
-            assert np.max(np.abs(y - ffn_forward(base, x))) <= 1e-12
+        x = rng.normal(size=(100, 6))
+        y, _ = dispatch_loop(layer, x)
+        assert np.max(np.abs(y - ffn_forward_batch(base, x))) <= 1e-12
 
     def test_full_activation_sums_all_experts(self, rng):
         layer, _, cfg = random_layer(rng, top_k=6, n_replicas=3, granularity=2)
-        x = rng.normal(size=cfg.token_dim)
-        y, gate = moe_forward(layer, x)
-        assert gate.selected == tuple(range(6))
+        x = rng.normal(size=(1, cfg.token_dim))
+        y, trace = dispatch_loop(layer, x)
+        assert trace.selected[0].tolist() == list(range(6))
         manual = np.zeros(cfg.token_dim)
         for e in layer.experts:
-            manual += ffn_forward(e, x)
-        assert np.array_equal(y, manual)
+            manual += ffn_forward_batch(e, x)[0]
+        assert np.array_equal(y[0], manual)
 
     def test_against_naive_reference(self, rng):
         # independent route: BLAS matmuls and python sorting
         layer, _, cfg = random_layer(rng)
-        for _ in range(30):
-            x = rng.normal(size=cfg.token_dim)
+        tokens = rng.normal(size=(30, cfg.token_dim))
+        y, trace = dispatch_loop(layer, tokens)
+        for t, x in enumerate(tokens):
             logits = layer.router.w_r @ x + layer.router.b_r
             e = np.exp(logits - logits.max())
             s = e / e.sum()
@@ -426,14 +424,13 @@ class TestMoeForward:
             for i in chosen:
                 p = layer.experts[i]
                 expected += p.w2 @ np.maximum(p.w1 @ x + p.b1, 0.0) + p.b2
-            y, gate = moe_forward(layer, x)
-            assert list(gate.selected) == chosen
-            assert np.allclose(y, expected, rtol=1e-9, atol=1e-12)
+            assert trace.selected[t].tolist() == chosen
+            assert np.allclose(y[t], expected, rtol=1e-9, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
         layer, _, _ = random_layer(rng)
         with pytest.raises(ShapeError):
-            moe_forward(layer, np.zeros(99))
+            dispatch_loop(layer, np.zeros((1, 99)))
 
 
 def _uniform_trace(n_experts, top_k, repeats=3):
