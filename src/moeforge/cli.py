@@ -160,6 +160,15 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _seed(args, absent=None):
+    """--seed, checked against the seed range make_rng takes; ``absent`` without the flag."""
+    if args.seed is None:
+        return absent
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+    return args.seed
+
+
 def _apply_seed_override(cfg: dict, seed: int | None) -> dict:
     if seed is None:
         return cfg
@@ -241,7 +250,7 @@ def _build_task_and_train(cfg: dict, args):
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), args.seed)
+    cfg = _apply_seed_override(load_config(args.config), _seed(args))
     task, train_cfg = _build_task_and_train(cfg, args)
     model = _from_section(args.config, "model", init_toy_model, cfg["task"]["token_dim"], **cfg["model"],
                           dtype=_dtype_of(args))
@@ -294,7 +303,7 @@ def _moe_config(cfg: dict) -> MoeConfig:
 
 
 def cmd_tune(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), args.seed)
+    cfg = _apply_seed_override(load_config(args.config), _seed(args))
     task, train_cfg = _build_task_and_train(cfg, args)
     base = _load_base(args.base, cfg, args)
     moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
@@ -315,7 +324,7 @@ def cmd_tune(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), args.seed)
+    cfg = _apply_seed_override(load_config(args.config), _seed(args))
     task, train_cfg = _build_task_and_train(cfg, args)
     base = _load_base(args.base, cfg, args)
     moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
@@ -360,27 +369,31 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _parse_sizes(sizes_arg: str | None):
-    if sizes_arg is None:
-        return None
+def _parse_sizes(sizes_arg: str):
+    """The DxHxNxK shapes of --sizes, every entry checked before any instance runs."""
     dims = []
     for item in sizes_arg.split(","):
-        parts = item.strip().lower().split("x")
-        if len(parts) != 4:
-            raise ConfigError(f"--sizes entry {item!r}: expected DxHxNxK")
-        token_dim, hidden, replicas, granularity = (int(p) for p in parts)
-        if min(token_dim, hidden, replicas, granularity) < 1:
-            raise ConfigError(f"--sizes entry {item!r}: every size must be >= 1")
-        if token_dim > 64 or hidden > 64:
-            raise ConfigError(f"--sizes entry {item!r}: gradcheck sizes are capped at 64")
-        dims.append((token_dim, hidden, replicas, granularity))
+        try:
+            shape = tuple(int(p) for p in item.strip().lower().split("x"))
+        except ValueError:
+            shape = ()
+        if len(shape) != 4:
+            raise ConfigError(f"--sizes entry {item!r}: expected DxHxNxK, four integers")
+        if not all(1 <= size <= 64 for size in shape):
+            raise ConfigError(f"--sizes entry {item!r}: every size must be in [1, 64]")
+        if shape[1] % shape[3]:
+            raise ConfigError(f"--sizes entry {item!r}: hidden {shape[1]} "
+                              f"not divisible by granularity {shape[3]}")
+        dims.append(shape)
     return dims
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(seed=args.seed if args.seed is not None else 0,
-                           n_instances=_at_least_one("--instances", args.instances), alpha=args.alpha,
-                           dims=_parse_sizes(args.sizes))
+    if not np.isfinite(args.alpha):
+        raise ConfigError(f"--alpha must be finite, got {args.alpha}")
+    n_instances = None if args.instances is None else _at_least_one("--instances", args.instances)
+    dims = None if args.sizes is None else _parse_sizes(args.sizes)
+    report = run_gradcheck(seed=_seed(args, 0), n_instances=n_instances, alpha=args.alpha, dims=dims)
     for group, err in sorted(report["groups"].items()):
         print(f"group {group:<8} max relative error {err:.3e}")
     print(f"router grads with alpha=0: max |g| = {report['alpha_zero_router_max']:.1e}")
@@ -397,12 +410,20 @@ def cmd_gradcheck(args) -> int:
 def cmd_bench_dispatch(args) -> int:
     threads = _resolve_threads(args)
     n = _at_least_one("--tokens", args.tokens)
+    for flag, value in (("--token-dim", args.token_dim), ("--hidden", args.hidden),
+                        ("--replicas", args.replicas), ("--granularity", args.granularity)):
+        _at_least_one(flag, value)
+    if args.hidden % args.granularity:
+        raise ConfigError(f"--hidden {args.hidden} not divisible by --granularity {args.granularity}")
+    if not 0 <= args.top_k <= args.replicas * args.granularity:
+        raise ConfigError(f"--top-k must be in [0, {args.replicas * args.granularity}] "
+                          f"(0 tracks --granularity), got {args.top_k}")
     dtype = _dtype_of(args)
-    rng = make_rng(args.seed if args.seed is not None else 0, STREAM_BENCH)
-    # the config checks the dimensions before init_ffn draws arrays of them
+    seed = _seed(args, 0)
+    rng = make_rng(seed, STREAM_BENCH)
     cfg = MoeConfig(token_dim=args.token_dim, hidden_dim=args.hidden,
                     n_replicas=args.replicas, granularity=args.granularity,
-                    top_k=args.top_k, seed=args.seed if args.seed is not None else 0)
+                    top_k=args.top_k, seed=seed)
     base = init_ffn(args.token_dim, args.hidden, rng, dtype=dtype)
     layer = expand_supernet(base, cfg)
     # nudge the router off the grouped init so expert loads are realistic
@@ -432,6 +453,7 @@ def cmd_bench_dispatch(args) -> int:
 
 
 def cmd_split_inspect(args) -> int:
+    seed = _seed(args, 0)
     model = load_toy_model(args.ckpt)
     if model.kind != "dense":
         raise ConfigError(f"{args.ckpt}: checkpoint already holds a mixture layer")
@@ -439,13 +461,13 @@ def cmd_split_inspect(args) -> int:
     try:
         experts = split_ffn(base, args.granularity)
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        raise ConfigError(f"--granularity {args.granularity}: {e}") from None
     print(f"base ffn: token_dim {base.token_dim}, hidden_dim {base.hidden_dim}, "
           f"activation {base.activation}")
     for j, e in enumerate(experts):
         print(f"expert {j}: w1 {e.w1.shape}, b1 {e.b1.shape}, w2 {e.w2.shape}, "
               f"b2 = base b2 / {args.granularity}")
-    probe_rng = make_rng(args.seed if args.seed is not None else 0, STREAM_BENCH)
+    probe_rng = make_rng(seed, STREAM_BENCH)
     probe = probe_rng.normal(size=(100, base.token_dim)).astype(base.w1.dtype)
     full = ffn_forward_batch(base, probe)
     total = np.zeros_like(full)
@@ -494,10 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference check of the gradients")
-    p.add_argument("--instances", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--sizes", default=None,
-                   help="comma-separated DxHxNxK instance shapes, e.g. 8x16x2x2,16x32x4x2")
+    pool = p.add_mutually_exclusive_group()
+    pool.add_argument("--instances", type=int, default=None, help="random shapes to check (default 50)")
+    pool.add_argument("--sizes", default=None,
+                      help="comma-separated DxHxNxK instance shapes, e.g. 8x16x2x2,16x32x4x2")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("bench-dispatch", parents=[run],

@@ -506,9 +506,11 @@ def ablate_tuning_subsets(task: SyntheticTask, base_model: ToyModel, moe_cfg: Mo
 
 
 _GRADCHECK_PERTURB = {"experts": 0.3, "router": 0.5}
+# central-difference step, bound on each group's relative error, and tokens per instance
+_GRADCHECK_FD_STEP, _GRADCHECK_TOL, _GRADCHECK_BATCH = 1e-6, 1e-4, 3
 
 
-def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int], batch: int):
+def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int]):
     """Build a random moe toy model + batch with safe margins.
 
     Rejects draws whose routing margin (k-th vs (k+1)-th score, if some
@@ -534,8 +536,8 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
             a += r.reshape(a.shape)
         for a in (router.w_r, router.b_r):
             a += _GRADCHECK_PERTURB["router"] * sub.normal(size=a.shape)
-        tokens = sub.normal(size=(batch, token_dim))
-        targets = sub.normal(size=(batch, token_dim))
+        tokens = sub.normal(size=(_GRADCHECK_BATCH, token_dim))
+        targets = sub.normal(size=(_GRADCHECK_BATCH, token_dim))
 
         _, _, _, trace, saved = _model_forward(model, tokens, None)
         # with every expert selected no score can overtake another
@@ -549,87 +551,83 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
     raise RuntimeError(f"gradcheck: could not build a well-margined instance for dims {dims}")
 
 
-def run_gradcheck(seed: int = 0, n_instances: int = 50, alpha: float = 0.01,
-                  fd_step: float = 1e-6, tol: float = 1e-4, batch: int = 3,
-                  dims: Optional[list[tuple[int, int, int, int]]] = None,
-                  grad_fn=None) -> dict:
+@np.errstate(invalid="ignore")  # an inf gradient gives inf / inf: a NaN error, which fails
+def run_gradcheck(seed: int = 0, n_instances: Optional[int] = None, alpha: float = 0.01,
+                  dims: Optional[list[tuple[int, int, int, int]]] = None, grad_fn=None) -> dict:
     """Compare analytic gradients of mse + alpha * balance loss against central differences.
 
-    Instances are (token_dim, hidden_dim, n_replicas, granularity) tuples,
-    random small shapes by default. Per parameter group the reported number
-    is ``max|analytic - fd| / max(max|analytic|, max|fd|, 1e-6)``. A second
-    pass with alpha = 0 confirms the router gradient vanishes identically.
+    Instances are the (token_dim, hidden_dim, n_replicas, granularity)
+    tuples ``dims`` or else ``n_instances`` (default 50) random small shapes.
+    Per parameter group the reported number is ``max|analytic - fd| /
+    max(max|analytic|, max|fd|, 1e-6)``, NaN, hence a failure, if a gradient
+    is not finite. A second pass with alpha = 0 confirms the router gradient
+    vanishes identically.
     """
+    if dims is not None and n_instances is not None:
+        raise ValueError("run_gradcheck: give dims or n_instances, not both")
+    n_instances = len(dims) if dims is not None else 50 if n_instances is None else n_instances
     if n_instances < 1:
         raise ValueError(f"run_gradcheck: n_instances must be >= 1, got {n_instances}")
     if grad_fn is None:
         grad_fn = _collect_grads
     rng = make_rng(seed, STREAM_TRAIN)
-    if dims is not None:
-        dims_pool = list(dims)
-    else:
-        dims_pool = [(16, 32, 4, 2), (16, 32, 2, 4)]
-        while len(dims_pool) < n_instances:
-            token_dim = int(rng.integers(3, 9))
-            granularity = int(rng.choice([2, 3]))
-            width = int(rng.integers(2, 5))
-            n_replicas = int(rng.integers(2, 5))
-            dims_pool.append((token_dim, width * granularity, n_replicas, granularity))
-        dims_pool = dims_pool[:n_instances]
+    pool = list(dims) if dims is not None else [(16, 32, 4, 2), (16, 32, 2, 4)][:n_instances]
+    while len(pool) < n_instances:
+        token_dim = int(rng.integers(3, 9))
+        granularity = int(rng.choice([2, 3]))
+        width = int(rng.integers(2, 5))
+        n_replicas = int(rng.integers(2, 5))
+        pool.append((token_dim, width * granularity, n_replicas, granularity))
 
-    group_err = {"experts": 0.0, "router": 0.0, "head": 0.0, "map": 0.0}
-    worst: dict = {}
+    group_err = dict.fromkeys(("experts", "router", "head", "map"), 0.0)
+    worst, worst_rank = {}, -1.0
     alpha0_router_max = 0.0
 
-    for inst, dims in enumerate(dims_pool):
-        model, tokens, targets = _gradcheck_instance(rng, dims, batch)
+    for inst, shape in enumerate(pool):
+        model, tokens, targets = _gradcheck_instance(rng, shape)
 
         def loss(a):
             _, _, y, trace, _ = _model_forward(model, tokens)
             mse = float(np.mean((y - targets) ** 2))
             return total_loss(mse, load_balance_loss(trace), a)
 
-        grads, _, _, _ = grad_fn(model, tokens, targets, alpha)
-        analytic_by_group: dict[str, list[float]] = {g: [] for g in group_err}
-        fd_by_group: dict[str, list[float]] = {g: [] for g in group_err}
+        grads = grad_fn(model, tokens, targets, alpha)[0]
+        peaks = {g: np.zeros(3) for g in group_err}  # max |analytic - fd|, max |analytic|, max |fd|
         for name, group, param in _parameters(model):
+            fd = np.empty(param.shape)
             for idx in np.ndindex(param.shape):
                 orig = param[idx]
-                param[idx] = orig + fd_step
+                param[idx] = orig + _GRADCHECK_FD_STEP
                 up = loss(alpha)
-                param[idx] = orig - fd_step
+                param[idx] = orig - _GRADCHECK_FD_STEP
                 down = loss(alpha)
                 param[idx] = orig
-                fd = (up - down) / (2.0 * fd_step)
-                a = float(grads[name][idx])
-                analytic_by_group[group].append(a)
-                fd_by_group[group].append(fd)
-                diff = abs(a - fd)
-                if diff > worst.get("absdiff", -1.0):
-                    worst = {"absdiff": diff, "group": group, "name": name,
-                             "index": tuple(int(i) for i in idx), "analytic": a, "fd": fd,
-                             "instance": inst}
-        for group in group_err:
-            a = np.array(analytic_by_group[group])
-            f = np.array(fd_by_group[group])
-            scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(f))), 1e-6)
-            rel = float(np.max(np.abs(a - f))) / scale
-            group_err[group] = max(group_err[group], rel)
+                fd[idx] = (up - down) / (2.0 * _GRADCHECK_FD_STEP)
+            analytic = np.asarray(grads[name], dtype=np.float64)
+            diff = np.abs(analytic - fd)
+            peaks[group] = np.maximum(peaks[group],
+                                      [np.max(diff), np.max(np.abs(analytic)), np.max(np.abs(fd))])
+            # a non-finite difference ranks above every finite one; the first seen wins ties
+            rank = np.where(np.isfinite(diff), diff, np.inf)
+            i = np.unravel_index(np.argmax(rank), param.shape)
+            if rank[i] > worst_rank:
+                worst_rank = rank[i]
+                worst = {"group": group, "name": name, "index": tuple(int(j) for j in i),
+                         "analytic": float(analytic[i]), "fd": float(fd[i]), "instance": inst,
+                         "rel": float(diff[i] / np.max([abs(analytic[i]), abs(fd[i]), 1e-6]))}
+        for group, (d, a, f) in peaks.items():
+            group_err[group] = float(np.maximum(group_err[group], d / np.max([a, f, 1e-6])))
 
-        grads0, _, _, _ = grad_fn(model, tokens, targets, 0.0)
-        alpha0_router_max = max(alpha0_router_max,
-                                float(np.max(np.abs(grads0["router.w_r"]))),
-                                float(np.max(np.abs(grads0["router.b_r"]))))
+        grads0 = grad_fn(model, tokens, targets, 0.0)[0]
+        alpha0_router_max = float(np.max([alpha0_router_max, np.max(np.abs(grads0["router.w_r"])),
+                                          np.max(np.abs(grads0["router.b_r"]))]))
 
-    worst["rel"] = worst.pop("absdiff", 0.0) / max(abs(worst.get("analytic", 0.0)),
-                                                   abs(worst.get("fd", 0.0)), 1e-6)
-    passed = all(err <= tol for err in group_err.values())
     return {
         "groups": group_err,
         "alpha_zero_router_max": alpha0_router_max,
         "worst": worst,
-        "tol": tol,
-        "fd_step": fd_step,
-        "n_instances": len(dims_pool),
-        "passed": passed and alpha0_router_max == 0.0,
+        "tol": _GRADCHECK_TOL,
+        "fd_step": _GRADCHECK_FD_STEP,
+        "n_instances": len(pool),
+        "passed": all(err <= _GRADCHECK_TOL for err in group_err.values()) and alpha0_router_max == 0.0,
     }

@@ -85,6 +85,7 @@ class TestPretrainCommand:
             assert (out_dir / name).exists()
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "pretrain"
+        assert manifest["seed"] is None  # no --seed: the config's section seeds ran
         assert manifest["resolved_config"]["train"]["steps"] == 40
         assert "sha256" in manifest["inputs"]["config"]
         assert manifest["kernel"] == numkernel.KERNEL
@@ -414,6 +415,36 @@ class TestGradcheckCommand:
         assert code == 5
         assert "worst offender" in capsys.readouterr().err
 
+    def test_nan_gradient_exits_5(self, capsys, monkeypatch):
+        real = moeforge.harness._collect_grads
+
+        def nan_backward(model, tokens, targets, alpha):
+            grads, mse, aux, trace = real(model, tokens, targets, alpha)
+            grads["experts.w1"] = grads["experts.w1"].copy()
+            grads["experts.w1"][0, 0, 0] = np.nan
+            return grads, mse, aux, trace
+
+        monkeypatch.setattr(moeforge.harness, "_collect_grads", nan_backward)
+        assert main(["gradcheck", "--sizes", "4x8x2x2"]) == 5
+        captured = capsys.readouterr()
+        assert "group experts  max relative error nan" in captured.out
+        assert "worst offender experts:experts.w1(0, 0, 0) analytic nan" in captured.err
+
+    def test_sizes_and_instances_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gradcheck", "--sizes", "4x8x2x2", "--instances", "7"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    # every entry is checked before the first instance runs
+    @pytest.mark.parametrize("sizes, entry", [("4x6x2x4", "4x6x2x4"), ("axbxcxd", "axbxcxd"),
+                                              ("4x8x2x2,4x6x2x4", "4x6x2x4")])
+    def test_bad_sizes_entry_named_before_any_instance(self, capsys, sizes, entry):
+        assert main(["gradcheck", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: --sizes entry '{entry}': ")
+        assert "group" not in captured.out
+
 
 class TestDefaultConfig:
     def test_defaults_match_the_dataclasses(self):
@@ -616,6 +647,33 @@ def test_constructor_error_names_file_and_section(tmp_path, capsys, command, sec
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {config}: section '{section}': {message}")
+
+
+# A bad flag value is a config error naming the flag, raised before any work.
+@pytest.mark.parametrize("argv, message", [
+    (["bench-dispatch", "--tokens", "4", "--top-k", "99"], "--top-k must be in [0, 16] (0 tracks --granularity), got 99"),
+    (["bench-dispatch", "--tokens", "4", "--hidden", "3"], "--hidden 3 not divisible by --granularity 2"),
+    (["bench-dispatch", "--tokens", "4", "--seed", "-5"], "--seed must be an unsigned 64-bit integer, got -5"),
+    (["gradcheck", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    (["gradcheck", "--seed", str(2**64)], f"--seed must be an unsigned 64-bit integer, got {2**64}"),
+    (["gradcheck", "--alpha", "nan"], "--alpha must be finite, got nan"),
+    (["pretrain", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    (["split-inspect", "--granularity", "2", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    (["split-inspect", "--granularity", "3"],
+     "--granularity 3: split_ffn: hidden_dim 8 not divisible by granularity 3"),
+], ids=["bench-top-k", "bench-hidden", "bench-seed", "gradcheck-seed", "gradcheck-seed-2^64", "gradcheck-alpha",
+        "pretrain-seed", "split-inspect-seed", "split-inspect-granularity"])
+def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, message):
+    if argv[0] == "pretrain":
+        argv = argv + ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+    if argv[0] == "split-inspect":
+        save_toy_model(tmp_path / "toy.ckpt", init_toy_model(4, 8, seed=0))
+        argv = argv + ["--ckpt", str(tmp_path / "toy.ckpt")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 # --seed, --threads and --f32 go only to the commands that use them

@@ -42,7 +42,7 @@ def _assert_identical(a, b):
     assert np.array_equal(trace_a.selected, trace_b.selected)
 
 
-def test_single_token_equals_moe_forward(rng):
+def test_single_token_equals_dispatch_loop(rng):
     # a one-token batch: dispatch_loop routes, gates and sums its experts once
     layer, _, cfg = random_layer(rng)
     x = rng.normal(size=(1, cfg.token_dim))

@@ -453,7 +453,7 @@ def test_gradcheck_instance_keeps_the_per_expert_draw_order(dims, seed):
     from moeforge.numkernel import STREAM_GRADCHECK
 
     rng, ref_rng = make_rng(seed), make_rng(seed)
-    model, tokens, targets = _gradcheck_instance(rng, dims, batch=3)
+    model, tokens, targets = _gradcheck_instance(rng, dims)
     # the reference takes the first draw, so the instance must have accepted it
     inst_seed = int(ref_rng.integers(0, 2**63))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -512,6 +512,75 @@ class TestGradcheck:
         worst = run_gradcheck(seed=0, n_instances=1, grad_fn=corrupted)["worst"]
         # (expert, row, column) of the stacked array, not a per-expert name
         assert (worst["group"], worst["name"], len(worst["index"])) == ("experts", "experts.w1", 3)
+
+    # a NaN or inf gradient element, and NaN router gradients at alpha = 0 only
+    @pytest.mark.parametrize("name, index, value, at_alpha", [
+        ("experts.w1", (1, 0, 2), np.nan, None),
+        ("head_w", (2, 1), np.inf, None),
+        ("router.w_r", ..., np.nan, 0.0),
+    ], ids=["nan", "inf", "router-nan-at-alpha-0"])
+    def test_non_finite_gradients_fail(self, name, index, value, at_alpha):
+        from moeforge.harness import _collect_grads
+
+        def corrupted(model, tokens, targets, alpha):
+            grads, mse, aux, trace = _collect_grads(model, tokens, targets, alpha)
+            if at_alpha is None or alpha == at_alpha:
+                grads[name] = grads[name].copy()
+                grads[name][index] = value
+            return grads, mse, aux, trace
+
+        report = run_gradcheck(seed=0, dims=[(4, 8, 2, 2), (5, 6, 2, 3)], grad_fn=corrupted)
+        assert not report["passed"]
+        if at_alpha is None:
+            # the non-finite element outranks every finite difference, and its group reads NaN
+            assert (report["worst"]["name"], report["worst"]["index"], report["worst"]["instance"]) == (name, index, 0)
+            assert np.isnan(report["groups"][report["worst"]["group"]])
+        else:
+            assert np.isnan(report["alpha_zero_router_max"])
+
+    def test_report_matches_the_per_element_reference(self):
+        # the audit's numpy reductions against a loop over Python floats: same draws, same order
+        from moeforge.harness import _collect_grads, _gradcheck_instance, _model_forward, _parameters
+        from moeforge.moe import load_balance_loss, total_loss
+        from moeforge.numkernel import STREAM_TRAIN
+
+        dims, alpha, step = [(4, 8, 2, 2), (5, 6, 2, 3)], 0.01, 1e-6
+        rng = make_rng(3, STREAM_TRAIN)
+        groups, worst = dict.fromkeys(("experts", "router", "head", "map"), 0.0), None
+        for inst, shape in enumerate(dims):
+            model, tokens, targets = _gradcheck_instance(rng, shape)
+
+            def loss():
+                _, _, y, trace, _ = _model_forward(model, tokens)
+                return total_loss(float(np.mean((y - targets) ** 2)), load_balance_loss(trace), alpha)
+
+            grads = _collect_grads(model, tokens, targets, alpha)[0]
+            pairs = {g: [] for g in groups}
+            for name, group, param in _parameters(model):
+                for idx in np.ndindex(param.shape):
+                    orig = param[idx]
+                    param[idx] = orig + step
+                    up = loss()
+                    param[idx] = orig - step
+                    down = loss()
+                    param[idx] = orig
+                    a, fd = float(grads[name][idx]), (up - down) / (2.0 * step)
+                    pairs[group].append((a, fd))
+                    if worst is None or abs(a - fd) > worst[0]:
+                        worst = (abs(a - fd), group, name, idx, a, fd, inst)
+            for group, pair in pairs.items():
+                scale = max(max(abs(a) for a, _ in pair), max(abs(fd) for _, fd in pair), 1e-6)
+                groups[group] = max(groups[group], max(abs(a - fd) for a, fd in pair) / scale)
+
+        report = run_gradcheck(seed=3, dims=dims, alpha=alpha)
+        assert report["groups"] == groups
+        w = report["worst"]
+        assert (w["group"], w["name"], w["index"], w["analytic"], w["fd"], w["instance"]) == worst[1:]
+        assert w["rel"] == worst[0] / max(abs(worst[4]), abs(worst[5]), 1e-6)
+
+    def test_pool_is_given_one_way(self):
+        with pytest.raises(ValueError, match="give dims or n_instances, not both"):
+            run_gradcheck(seed=0, n_instances=7, dims=[(4, 8, 2, 2)])
 
 
 def _arrays_held(obj):
