@@ -17,8 +17,10 @@ command exits 1 if the batched and looped dispatch paths disagree.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,7 +57,7 @@ from .moe import (
     load_balance_loss,
     split_ffn,
 )
-from .numkernel import KERNEL, STREAM_BENCH, ShapeError, make_rng
+from .numkernel import KERNEL, STREAM_BENCH, ShapeError, check_seed, make_rng
 from .serialize import (
     FormatError,
     load_toy_model,
@@ -71,9 +73,9 @@ class ConfigError(ValueError):
 
 
 # Each section's keys are the keyword arguments of the constructor it feeds:
-# make_task, init_toy_model, MoeConfig and TrainConfig. The moe and train
-# defaults are the dataclasses' own. The section seeds are the CLI's, so that
-# each random stream gets a seed of its own.
+# make_task, init_toy_model, MoeConfig and TrainConfig; train.trainable's
+# booleans are merged key by key. The moe and train defaults are the
+# dataclasses' own. The section seeds are the CLI's, one per random stream.
 _NUMBER = (int, float)
 _SCHEMA = {
     "task": {
@@ -104,10 +106,9 @@ _SCHEMA = {
         "eval_tokens": (int, TrainConfig.eval_tokens),
         "probe_tokens": (int, TrainConfig.probe_tokens),
         "seed": (int, 3),
+        "trainable": (dict, TrainConfig().trainable),
     },
 }
-_TRAINABLE_DEFAULTS = {"moe": TrainConfig.trainable_moe, "head": TrainConfig.trainable_head,
-                       "map": TrainConfig.trainable_map}
 # Keys that size the task, the model or a batch: a value below 1 would reach
 # them as an empty or negative shape.
 _DIMENSIONS = {("task", "token_dim"), ("task", "n_patterns"), ("model", "hidden_dim"),
@@ -115,14 +116,12 @@ _DIMENSIONS = {("task", "token_dim"), ("task", "n_patterns"), ("model", "hidden_
 
 
 def default_config() -> dict:
-    cfg = {section: {key: entry[1] for key, entry in keys.items()}
-           for section, keys in _SCHEMA.items()}
-    cfg["train"]["trainable"] = dict(_TRAINABLE_DEFAULTS)
-    return cfg
+    return copy.deepcopy({section: {key: entry[1] for key, entry in keys.items()}
+                          for section, keys in _SCHEMA.items()})
 
 
 def load_config(path) -> dict:
-    """Read a JSON config, merge over defaults, reject unknown keys and bad types."""
+    """Read a JSON config, merge over defaults, reject unknown keys, bad types and non-finite numbers."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -139,21 +138,23 @@ def load_config(path) -> dict:
         if not isinstance(content, dict):
             raise ConfigError(f"{path}: section '{section}' must be an object")
         for key, value in content.items():
-            if section == "train" and key == "trainable":
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{path}: 'train.trainable' must be an object")
-                for part, flag in value.items():
-                    if part not in _TRAINABLE_DEFAULTS:
-                        raise ConfigError(f"{path}: unknown key 'train.trainable.{part}'")
-                    if not isinstance(flag, bool):
-                        raise ConfigError(f"{path}: 'train.trainable.{part}' must be a boolean")
-                    cfg["train"]["trainable"][part] = flag
-                continue
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key '{section}.{key}'")
             expected = _SCHEMA[section][key][0]
-            if not isinstance(value, expected) or isinstance(value, bool):
+            if expected is dict:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{path}: '{section}.{key}' must be an object")
+                for part, flag in value.items():
+                    if part not in cfg[section][key]:
+                        raise ConfigError(f"{path}: unknown key '{section}.{key}.{part}'")
+                    if not isinstance(flag, bool):
+                        raise ConfigError(f"{path}: '{section}.{key}.{part}' must be a boolean")
+                value = {**cfg[section][key], **value}
+            elif not isinstance(value, expected) or isinstance(value, bool):
                 raise ConfigError(f"{path}: '{section}.{key}' has wrong type {type(value).__name__}")
+            # json reads NaN, Infinity and overflowing literals such as 1e400 as non-finite floats
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path}: '{section}.{key}' must be finite, got {value}")
             if (section, key) in _DIMENSIONS and value < 1:
                 raise ConfigError(f"{path}: '{section}.{key}' must be >= 1, got {value}")
             cfg[section][key] = value
@@ -164,8 +165,7 @@ def _seed(args, absent=None):
     """--seed, checked against the seed range make_rng takes; ``absent`` without the flag."""
     if args.seed is None:
         return absent
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"--seed must be an unsigned 64-bit integer, got {args.seed}")
+    check_seed("--seed", args.seed)
     return args.seed
 
 
@@ -241,12 +241,8 @@ def _write_curves_csv(path, curves: list[dict], with_aux: bool) -> None:
 
 
 def _build_task_and_train(cfg: dict, args):
-    train = dict(cfg["train"])
-    trainable = train.pop("trainable")
     task = _from_section(args.config, "task", make_task, **cfg["task"], dtype=_dtype_of(args))
-    return task, _from_section(args.config, "train", TrainConfig, **train, trainable_moe=trainable["moe"],
-                               trainable_head=trainable["head"], trainable_map=trainable["map"],
-                               threads=_resolve_threads(args))
+    return task, _from_section(args.config, "train", TrainConfig, **cfg["train"], threads=_resolve_threads(args))
 
 
 def cmd_pretrain(args) -> int:
@@ -549,7 +545,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, FormatError) as e:
+    except (OSError, FormatError) as e:  # a missing, unreadable or misplaced path, or a malformed file
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except ShapeError as e:

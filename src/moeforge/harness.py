@@ -16,7 +16,7 @@ routed mixture can dedicate experts per pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -46,6 +46,7 @@ from .numkernel import (
     STREAM_TASK,
     STREAM_TRAIN,
     ShapeError,
+    check_seed,
     make_rng,
     mm,
 )
@@ -189,7 +190,7 @@ def init_toy_model(token_dim: int, hidden_dim: int, seed: int,
 
 @dataclass
 class TrainConfig:
-    """Settings of a pretrain or moe_tune run, the function being the stage; rates and alpha are >= 0."""
+    """Settings of a pretrain or moe_tune run, the function being the stage; rates and alpha are finite, >= 0."""
 
     lr: float = 0.05
     steps: int = 1500
@@ -198,9 +199,7 @@ class TrainConfig:
     lr_head: Optional[float] = None    # None tracks lr
     lr_router: Optional[float] = None  # None tracks lr
     optimizer: str = "sgd"
-    trainable_moe: bool = True
-    trainable_head: bool = True
-    trainable_map: bool = False
+    trainable: dict = field(default_factory=lambda: {"moe": True, "head": True, "map": False})  # parts stepped
     eval_tokens: int = 10000
     probe_tokens: int = 512
     threads: int = 1
@@ -209,6 +208,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("lr", "lr_head", "lr_router", "alpha"):
             value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"TrainConfig: {name} must be finite, got {value}")
             if value is not None and value < 0:
                 raise ValueError(f"TrainConfig: {name} must be >= 0, got {value}")
         if self.steps < 0:
@@ -217,6 +218,10 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: batch must be >= 1, got {self.batch}")
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"TrainConfig: unknown optimizer {self.optimizer!r}")
+        if (not isinstance(self.trainable, dict) or self.trainable.keys() != {"moe", "head", "map"}
+                or not all(isinstance(flag, bool) for flag in self.trainable.values())):
+            raise ValueError(f"TrainConfig: trainable must map moe, head and map to booleans, got {self.trainable!r}")
+        check_seed("TrainConfig: seed", self.seed)
 
 
 @dataclass
@@ -266,6 +271,17 @@ def model_predict(model: ToyModel, tokens: np.ndarray, threads: int = 1) -> np.n
     return _model_forward(model, tokens, threads)[2]
 
 
+def _mse(y: np.ndarray, targets: np.ndarray) -> float:
+    """The task loss: mean squared error of predictions y against targets."""
+    return float(np.mean((y - targets) ** 2))
+
+
+def _expand_model(base: ToyModel, moe_cfg: MoeConfig) -> ToyModel:
+    """The supernet of a dense model: its FFN expanded, its input map and head copied."""
+    return ToyModel(base.input_w.copy(), base.input_b.copy(), expand_supernet(base.block, moe_cfg),
+                    base.head_w.copy(), base.head_b.copy())
+
+
 def _ffn_named(prefix: str, p: FfnParams | FfnGrads) -> list[tuple[str, np.ndarray]]:
     """(name, array) for the w1/b1/w2/b2 of an FfnParams or an FfnGrads."""
     return [(f"{prefix}.w1", p.w1), (f"{prefix}.b1", p.b1), (f"{prefix}.w2", p.w2), (f"{prefix}.b2", p.b2)]
@@ -305,7 +321,6 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alp
     """
     u, v, y, trace, saved = _model_forward(model, tokens, None)
     diff = y - targets
-    mse = float(np.mean(diff * diff))
     dy = (2.0 / diff.size) * diff
     grads = {"head_w": mm(dy.T, v), "head_b": dy.sum(axis=0)}
     dv = mm(dy, model.head_w)
@@ -324,7 +339,7 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alp
 
     grads["input_w"] = mm(du.T, tokens)
     grads["input_b"] = du.sum(axis=0)
-    return grads, mse, aux, trace
+    return grads, _mse(y, targets), aux, trace
 
 
 class _Sgd:
@@ -372,11 +387,9 @@ def _make_optimizer(cfg: TrainConfig):
 def _apply_updates(model: ToyModel, grads: dict, trace: Optional[RoutingTrace], cfg: TrainConfig, opt) -> None:
     lr = {"experts": cfg.lr, "router": cfg.lr if cfg.lr_router is None else cfg.lr_router,
           "head": cfg.lr if cfg.lr_head is None else cfg.lr_head, "map": cfg.lr}
-    trainable = {"experts": cfg.trainable_moe, "router": cfg.trainable_moe,
-                 "head": cfg.trainable_head, "map": cfg.trainable_map}
     live = None if trace is None else assignment_counts(trace) > 0
     for name, part, param in _parameters(model):
-        if trainable[part]:
+        if cfg.trainable["moe" if part in ("experts", "router") else part]:
             opt.step(name, param, grads[name], lr[part], live if part == "experts" else None)
 
 
@@ -392,17 +405,12 @@ def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
     """Loss on the task's fixed held-out set (drawn from the eval stream of task.seed)."""
     tokens, targets, labels = generate_batch(task, make_rng(task.seed, STREAM_EVAL), n_tokens)
     _, _, y, trace, _ = _model_forward(model, tokens, threads)
-    mse = float(np.mean((y - targets) ** 2))
     aux = load_balance_loss(trace) if trace is not None else None
-    return EvalResult(mse, aux, trace, labels)
+    return EvalResult(_mse(y, targets), aux, trace, labels)
 
 
-def _probe_loss(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, threads: int) -> float:
-    y = model_predict(model, tokens, threads)
-    return float(np.mean((y - targets) ** 2))
-
-
-def _train_loop(task, model, cfg: TrainConfig, with_aux: bool):
+def _train_loop(task, model, cfg: TrainConfig):
+    """Train model in place, one curve row per step; a dense block's aux is 0.0, so its checked loss is its MSE."""
     rng_train = make_rng(cfg.seed, STREAM_TRAIN)
     probe_tokens, probe_targets, _ = generate_batch(
         task, make_rng(task.seed, STREAM_PROBE), cfg.probe_tokens)
@@ -412,15 +420,13 @@ def _train_loop(task, model, cfg: TrainConfig, with_aux: bool):
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
         grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
-        _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha) if with_aux else mse, step)
+        _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha), step)
         _apply_updates(model, grads, trace, cfg, opt)
-        probe = _probe_loss(model, probe_tokens, probe_targets, cfg.threads)
+        probe = _mse(model_predict(model, probe_tokens, cfg.threads), probe_targets)
         _check_curve_value("probe loss", probe, step)
         best = min(best, probe)
-        row = {"step": step, "batch_mse": mse, "probe_mse": probe, "probe_mse_smoothed": best}
-        if with_aux:
-            row["batch_aux"] = aux
-        curves.append(row)
+        curves.append({"step": step, "batch_mse": mse, "probe_mse": probe, "probe_mse_smoothed": best,
+                       "batch_aux": aux})
     return curves
 
 
@@ -429,7 +435,7 @@ def pretrain(task: SyntheticTask, model: ToyModel, cfg: TrainConfig) -> TrainRes
     if model.kind != "dense":
         raise ValueError("pretrain: expected a dense model")
     model = model.copy()
-    curves = _train_loop(task, model, cfg, with_aux=False)
+    curves = _train_loop(task, model, cfg)
     return TrainResult(model, curves, evaluate(model, task, cfg.eval_tokens, cfg.threads))
 
 
@@ -446,16 +452,14 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
         raise ValueError("moe_tune: base model must be dense")
     tol = 1e-4 if base_model.block.w1.dtype == np.float32 else 1e-9
     base_eval = evaluate(base_model, task, cfg.eval_tokens, cfg.threads)
-    layer = expand_supernet(base_model.block, moe_cfg)
-    model = ToyModel(base_model.input_w.copy(), base_model.input_b.copy(), layer,
-                     base_model.head_w.copy(), base_model.head_b.copy())
+    model = _expand_model(base_model, moe_cfg)
     eval0 = evaluate(model, task, cfg.eval_tokens, cfg.threads)
     if not abs(eval0.mse - base_eval.mse) <= tol:
         raise IdentityViolation(
             f"step-0 eval mse {eval0.mse!r} differs from base {base_eval.mse!r} "
             f"by {abs(eval0.mse - base_eval.mse):.3e} (tolerance {tol:.1e})"
         )
-    curves = _train_loop(task, model, cfg, with_aux=True)
+    curves = _train_loop(task, model, cfg)
     final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
     matrix = co_selection(final_eval.trace)
     nmi = pattern_specialization(final_eval.trace, final_eval.labels)
@@ -483,13 +487,10 @@ def ablate_tuning_subsets(task: SyntheticTask, base_model: ToyModel, moe_cfg: Mo
     """Run moe_tune once per trainable-subset combo; one result row per combo."""
     rows = []
     for combo in combos:
-        unknown = set(combo) - {"moe", "head", "map"}
+        unknown = set(combo) - cfg.trainable.keys()
         if unknown:
             raise ValueError(f"ablate_tuning_subsets: unknown parts {sorted(unknown)}")
-        sub_cfg = replace(cfg,
-                          trainable_moe="moe" in combo,
-                          trainable_head="head" in combo,
-                          trainable_map="map" in combo)
+        sub_cfg = replace(cfg, trainable={part: part in combo for part in cfg.trainable})
         result = moe_tune(task, base_model, moe_cfg, sub_cfg)
         rows.append({
             "combo": "+".join(combo) if combo else "none",
@@ -522,14 +523,12 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
     for _ in range(64):
         seed = int(rng.integers(0, 2**63))
         sub = make_rng(seed, STREAM_GRADCHECK)
-        model = init_toy_model(token_dim, hidden_dim, seed)
         moe_cfg = MoeConfig(token_dim=token_dim, hidden_dim=hidden_dim,
                             n_replicas=n_replicas, granularity=granularity, seed=seed)
-        layer = expand_supernet(model.block, moe_cfg)
-        model = ToyModel(model.input_w, model.input_b, layer, model.head_w, model.head_b)
+        model = _expand_model(init_toy_model(token_dim, hidden_dim, seed), moe_cfg)
         # leave the identity-preserving start: perturb experts and router mildly; the experts'
         # draw is one (w1 | b1 | w2 | b2) row per expert, the order of drawing expert by expert
-        ex, router = layer.experts, layer.router
+        ex, router = model.block.experts, model.block.router
         n, h, d = ex.w1.shape
         rows = _GRADCHECK_PERTURB["experts"] * sub.normal(size=(n, 2 * h * d + h + d))
         for a, r in zip((ex.w1, ex.b1, ex.w2, ex.b2), np.split(rows, np.cumsum([h * d, h, d * h]), axis=1)):
@@ -588,8 +587,7 @@ def run_gradcheck(seed: int = 0, n_instances: Optional[int] = None, alpha: float
 
         def loss(a):
             _, _, y, trace, _ = _model_forward(model, tokens)
-            mse = float(np.mean((y - targets) ** 2))
-            return total_loss(mse, load_balance_loss(trace), a)
+            return total_loss(_mse(y, targets), load_balance_loss(trace), a)
 
         grads = grad_fn(model, tokens, targets, alpha)[0]
         peaks = {g: np.zeros(3) for g in group_err}  # max |analytic - fd|, max |analytic|, max |fd|

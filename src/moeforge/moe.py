@@ -55,6 +55,7 @@ from .numkernel import (
     STREAM_ROUTER,
     ShapeError,
     activation_pair,
+    check_seed,
     ensure_finite,
     make_rng,
     mm,
@@ -87,6 +88,7 @@ class MoeConfig:
             )
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"MoeConfig: top_k {self.top_k} out of range [1, {self.n_experts}]")
+        check_seed("MoeConfig: seed", self.seed)
 
     @property
     def n_experts(self) -> int:
@@ -574,11 +576,8 @@ def load_balance_loss(trace: RoutingTrace) -> float:
 
 
 def total_loss(task: float, aux: float, alpha: float = 0.01) -> float:
-    """Training objective: task loss plus alpha-weighted balance loss."""
-    total = float(task) + float(alpha) * float(aux)
-    if not np.isfinite(total):
-        raise ValueError(f"total_loss: non-finite result from ({task}, {aux}, {alpha})")
-    return total
+    """Training objective: task loss plus alpha-weighted balance loss; inf or NaN if it overflows."""
+    return float(task) + float(alpha) * float(aux)
 
 
 def balance_loss_backward(trace: RoutingTrace, tokens: np.ndarray, aux_weight: float):

@@ -343,6 +343,12 @@ def activation_pair(name: str):
         raise ValueError(f"unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}") from None
 
 
+def check_seed(label: str, seed: int) -> None:
+    """Raise ValueError, naming ``label``, unless make_rng takes seed: an unsigned 64-bit integer."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{label} must be an unsigned 64-bit integer, got {seed}")
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded PCG64 generator.
 
@@ -350,8 +356,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     platform. Distinct stream ids the package uses are listed at module top.
     """
     seed = int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    check_seed("seed", seed)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),))))
 
 

@@ -76,6 +76,25 @@ class TestConfigLoading:
             load_config(path)
         assert "train.trainable.decoder" in str(exc.value)
 
+    def test_trainable_merges_over_the_defaults(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"train": {"trainable": {"map": True}}}))
+        assert load_config(path)["train"]["trainable"] == {"moe": True, "head": True, "map": True}
+        assert default_config()["train"]["trainable"] == {"moe": True, "head": True, "map": False}
+
+    # json reads NaN, Infinity and overflowing literals as floats; the config refuses them where it enters
+    @pytest.mark.parametrize("text, key", [
+        ('{"train": {"lr": NaN}}', "train.lr"),
+        ('{"train": {"alpha": Infinity}}', "train.alpha"),
+        ('{"train": {"lr_head": -Infinity}}', "train.lr_head"),
+        ('{"task": {"noise_std": 1e400}}', "task.noise_std"),
+    ])
+    def test_non_finite_number_names_its_key(self, tmp_path, text, key):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"'{key}' must be finite, got "):
+            load_config(path)
+
 
 class TestPretrainCommand:
     def test_writes_run_dir(self, tmp_path):
@@ -251,6 +270,39 @@ class TestTuneCommand:
         assert (f"checkpoint activation relu does not match config model.activation {activation}"
                 in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, key, literal", [
+        ("pretrain", "lr", "NaN"), ("pretrain", "lr", "1e400"), ("pretrain", "alpha", "NaN"),
+        ("tune", "alpha", "NaN"), ("tune", "lr_router", "Infinity"),
+    ])
+    def test_non_finite_rate_exits_2_before_any_work(self, tmp_path, pretrained, capsys,
+                                                     command, key, literal):
+        ckpt, _ = pretrained
+        config = write_config(tmp_path, {"train": {key: "@"}}, name="nonfinite.json")
+        config.write_text(config.read_text().replace('"@"', literal))
+        out = tmp_path / "nonfinite"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        argv += ["--base", str(ckpt)] if command == "tune" else []
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {config}: 'train.{key}' must be finite, got ")
+        assert not out.exists()
+
+    def test_overflowing_objective_exits_3(self, tmp_path, capsys):
+        # under the default moe section the step-0 balance loss is about 1.45, so alpha * aux
+        # overflows: a divergence, checked by the one check both stages share
+        train = {"steps": 5, "eval_tokens": 500, "probe_tokens": 64}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"train": train}))
+        code, pre_dir, _ = run_pretrain(tmp_path, config=config)
+        assert code == 0
+        config.write_text(json.dumps({"train": {**train, "alpha": 1.5e308}}))
+        capsys.readouterr()
+        out = tmp_path / "big"
+        with np.errstate(all="ignore"):  # the router gradient of an overflowing weight is inf and NaN too
+            assert main(["tune", "--config", str(config), "--base", str(pre_dir / "base.ckpt"),
+                         "--out", str(out)]) == 3
+        assert "divergence: batch loss became non-finite at step 0" in capsys.readouterr().err
 
     def test_threads_do_not_change_outputs(self, tmp_path, pretrained):
         # exit-code stability plus byte-identical metrics regardless of --threads
@@ -457,7 +509,7 @@ class TestDefaultConfig:
                 assert value == moe[key], key
         for key, value in cfg["train"].items():
             if key == "trainable":
-                assert value == {part: train[f"trainable_{part}"] for part in value}
+                assert value == TrainConfig().trainable
             elif key != "seed":
                 assert value == train[key], key
 
@@ -490,10 +542,8 @@ class TestDefaultConfig:
         assert (model.block.hidden_dim, model.block.activation) == (cfg["model"]["hidden_dim"],
                                                                     cfg["model"]["activation"])
         assert {k: getattr(moe, k) for k in cfg["moe"]} == cfg["moe"] and moe.top_k == moe.granularity
-        trainable = cfg["train"]["trainable"]
-        assert {k: getattr(train, k) for k in cfg["train"] if k != "trainable"} == {
-            k: v for k, v in cfg["train"].items() if k != "trainable"}
-        assert {p: getattr(train, f"trainable_{p}") for p in trainable} == trainable
+        assert {k: getattr(train, k) for k in cfg["train"]} == cfg["train"]
+        assert train.trainable == cfg["train"]["trainable"]
 
     def test_default_tune_runs_end_to_end_quickly(self, tmp_path):
         # the shipped defaults (8 replicas split 2 ways, alpha 0.01) must
@@ -623,6 +673,28 @@ def test_zero_sizes_are_input_errors_not_internal_ones(tmp_path, capsys, argv, m
     assert capsys.readouterr().err.startswith(message)
 
 
+# A directory where a file belongs, or a file where the output directory belongs, is an input
+# error naming the path (exit 2), not a traceback
+@pytest.mark.parametrize("slot", ["--config", "--base", "--ckpt", "--trace", "--out"])
+def test_unusable_path_exits_2_naming_it(tmp_path, capsys, slot):
+    config = str(write_config(tmp_path))
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    taken = tmp_path / "a_file"
+    taken.write_text("")
+    out = str(tmp_path / "o")
+    argv = {
+        "--config": ["pretrain", "--config", str(directory), "--out", out],
+        "--base": ["tune", "--config", config, "--base", str(directory), "--out", out],
+        "--ckpt": ["split-inspect", "--ckpt", str(directory), "--granularity", "2"],
+        "--trace": ["analyze", "--trace", str(directory), "--out", out],
+        "--out": ["pretrain", "--config", config, "--out", str(taken)],
+    }[slot]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(taken if slot == "--out" else directory) in err
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run([sys.executable, "-m", "moeforge", "--version"],
                           capture_output=True, text=True)
@@ -630,13 +702,15 @@ def test_module_entrypoint_runs():
     assert "moeforge" in proc.stdout
 
 
-# A constructor's own check names the config file and the section that fed it.
+# A constructor's own check names the config file and the section that fed it, before any work.
 @pytest.mark.parametrize("command, section, content, message", [
     ("pretrain", "train", {"batch": 0}, "TrainConfig: batch must be >= 1, got 0"),
     ("pretrain", "model", {"activation": "tanh"}, "unknown activation 'tanh'"),
     ("pretrain", "task", {"noise_std": -1}, "SyntheticTask: noise_std must be >= 0, got -1"),
     ("tune", "moe", {"granularity": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
-], ids=["train", "model", "task", "moe"])
+    ("tune", "moe", {"seed": -1}, "MoeConfig: seed must be an unsigned 64-bit integer, got -1"),
+    ("tune", "train", {"seed": -1}, "TrainConfig: seed must be an unsigned 64-bit integer, got -1"),
+], ids=["train", "model", "task", "moe", "moe-seed", "train-seed"])
 def test_constructor_error_names_file_and_section(tmp_path, capsys, command, section, content, message):
     config = write_config(tmp_path, {section: content}, name="bad.json")
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
@@ -647,6 +721,7 @@ def test_constructor_error_names_file_and_section(tmp_path, capsys, command, sec
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"config error: {config}: section '{section}': {message}")
+    assert not (tmp_path / "o").exists()
 
 
 # A bad flag value is a config error naming the flag, raised before any work.

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -160,6 +161,13 @@ class TestPretrain:
             pretrain(task, model, cfg)
         assert "step" in str(exc.value)
 
+    def test_curve_rows_carry_a_zero_balance_loss(self):
+        # one training step for both stages: a dense block's aux is 0.0, so its checked loss is its MSE
+        task = make_task(2, 4, seed=6)
+        cfg = TrainConfig(steps=5, batch=16, seed=6, eval_tokens=100, probe_tokens=32)
+        result = pretrain(task, init_toy_model(4, 8, seed=6), cfg)
+        assert [row["batch_aux"] for row in result.curves] == [0.0] * 5
+
     def test_input_model_not_mutated(self):
         task = make_task(2, 4, seed=9)
         model = init_toy_model(4, 8, seed=9)
@@ -209,6 +217,13 @@ class TestMoeTune:
         cfg = TrainConfig(lr=0.05, steps=10, batch=32, seed=12,
                           eval_tokens=2000, probe_tokens=128)
         with pytest.raises(IdentityViolation):
+            moe_tune(task, pre.model, small_moe_cfg(), cfg)
+
+    def test_overflowing_objective_diverges_at_step_0(self, small_setup):
+        # mse + alpha * aux reaches the largest float or beyond
+        task, pre = small_setup
+        cfg = TrainConfig(steps=5, batch=32, seed=12, alpha=1.7e308, eval_tokens=200, probe_tokens=32)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="batch loss .* at step 0$"):
             moe_tune(task, pre.model, small_moe_cfg(), cfg)
 
     def test_alpha_sweep_loading_non_increasing(self):
@@ -273,7 +288,8 @@ class TestEvaluateAndFlags:
     def test_frozen_moe_flag_keeps_experts(self, small_setup):
         task, pre = small_setup
         cfg = TrainConfig(lr=0.1, steps=30, batch=32, seed=12,
-                          trainable_moe=False, eval_tokens=2000, probe_tokens=128)
+                          trainable={"moe": False, "head": True, "map": False},
+                          eval_tokens=2000, probe_tokens=128)
         result = moe_tune(task, pre.model, small_moe_cfg(), cfg)
         base_slices = result.metrics["base_mse"]
         # experts never updated: they must still reassemble the base function
@@ -294,6 +310,29 @@ class TestTrainConfig:
             TrainConfig(steps=-1)
         with pytest.raises(ValueError):
             TrainConfig(optimizer="rmsprop")
+
+    @pytest.mark.parametrize("name", ["lr", "lr_head", "lr_router", "alpha"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"TrainConfig: {name} must be finite, got {value}"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("trainable", [
+        {"moe": True, "head": True},
+        {"moe": True, "head": True, "map": False, "decoder": True},
+        {"moe": 1, "head": True, "map": False},
+    ])
+    def test_trainable_is_exactly_three_switches(self, trainable):
+        with pytest.raises(ValueError, match="TrainConfig: trainable must map moe, head and map to booleans"):
+            TrainConfig(trainable=trainable)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_range(self, seed):
+        message = f"seed must be an unsigned 64-bit integer, got {seed}"
+        with pytest.raises(ValueError, match=f"TrainConfig: {message}"):
+            TrainConfig(seed=seed)
+        with pytest.raises(ValueError, match=f"MoeConfig: {message}"):
+            MoeConfig(token_dim=4, hidden_dim=8, seed=seed)
 
 
 def _collect_grads_reference(model, tokens, targets, alpha):
@@ -405,7 +444,8 @@ def test_stacked_step_bitwise_equals_per_expert_optimizer(optimizer, dtype):
             a += (0.3 * rng.normal(size=a.shape)).astype(dtype)
     model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
     ref = model.copy()
-    train = TrainConfig(lr=0.05, lr_head=0.02, lr_router=0.1, optimizer=optimizer, trainable_map=True)
+    train = TrainConfig(lr=0.05, lr_head=0.02, lr_router=0.1, optimizer=optimizer,
+                        trainable={"moe": True, "head": True, "map": True})
     lr = {"experts": 0.05, "router": 0.1, "head": 0.02, "map": 0.05}
     opt = _AdamW() if optimizer == "adamw" else _Sgd()
     ref_opt = _PerNameAdamW() if optimizer == "adamw" else _PerNameSgd()
@@ -633,7 +673,8 @@ class TestParameterTable:
         live = sorted(set(range(cfg.n_experts)) - set(empty))
         before = {name: a.copy() for name, _, a in _parameters(model)}
         opt = _AdamW()
-        _apply_updates(model, grads, trace, TrainConfig(optimizer="adamw", trainable_map=True), opt)
+        cfg_all = TrainConfig(optimizer="adamw", trainable={"moe": True, "head": True, "map": True})
+        _apply_updates(model, grads, trace, cfg_all, opt)
         for name, part, a in _parameters(model):
             if part == "experts":
                 # empty rows: parameter bytes unchanged, zero moments, no step counted
@@ -660,6 +701,6 @@ def test_f32_gradients_and_adamw_moments_keep_the_model_dtype():
     grads, _, _, trace = _collect_grads(model, tokens, targets, 0.01)
     assert {name: g.dtype for name, g in grads.items()} == {name: np.dtype(np.float32) for name in grads}
     opt = _AdamW()
-    cfg = TrainConfig(optimizer="adamw", trainable_map=True)
+    cfg = TrainConfig(optimizer="adamw", trainable={"moe": True, "head": True, "map": True})
     _apply_updates(model, grads, trace, cfg, opt)
     assert len(opt.m) == len(grads) and all(a.dtype == np.float32 for a in (*opt.m.values(), *opt.v.values()))
