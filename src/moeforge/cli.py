@@ -4,8 +4,9 @@ Subcommands: pretrain, tune, ablate, analyze, gradcheck, bench-dispatch,
 split-inspect. Every run writes a manifest.json holding the resolved config,
 effective seed, thread count and dtype (analyze takes none of the three),
 input hashes, and the matrix kernel with the numpy and BLAS versions under
-it, so a run is reproducible from its manifest alone. Commands never mutate
-their input files.
+it, so a run is reproducible from its manifest alone; it is written last,
+so a run directory without one is incomplete. Commands never mutate their
+input files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
 3 divergence, 4 step-0 identity violation, 5 gradcheck failure, 6 internal
@@ -253,7 +254,6 @@ def cmd_pretrain(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = pretrain(task, model, train_cfg)
-    write_manifest(out, "pretrain", args, cfg)
     save_toy_model(out / "base.ckpt", result.model)
     _write_curves_csv(out / "curves.csv", result.curves, with_aux=False)
     write_summary_json(out / "metrics.json", {
@@ -261,6 +261,7 @@ def cmd_pretrain(args) -> int:
         "steps": train_cfg.steps,
         "stage": "pretrain",
     })
+    write_manifest(out, "pretrain", args, cfg)
     print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {out}")
     return 0
 
@@ -306,7 +307,6 @@ def cmd_tune(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = moe_tune(task, base, moe_cfg, train_cfg)
-    write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base})
     save_toy_model(out / "tuned.ckpt", result.model)
     _write_curves_csv(out / "curves.csv", result.curves, with_aux=True)
     write_summary_json(out / "metrics.json", result.metrics)
@@ -314,6 +314,7 @@ def cmd_tune(args) -> int:
     write_labels_csv(out / "labels.csv", result.final_eval.labels)
     write_matrix_csv(out / "coselection.csv", result.coselection)
     write_loading_csv(out / "loading.csv", assignment_fractions(result.final_eval.trace))
+    write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base})
     print(f"tune done: base mse {result.metrics['base_mse']:.6g} -> "
           f"tuned mse {result.metrics['mse']:.6g}, nmi {result.metrics['nmi']:.3f} -> {out}")
     return 0
@@ -327,13 +328,13 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)
-    write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base})
     with open(out / "ablation.csv", "w") as f:
         f.write("combo,mse,base_mse,aux_loss,nmi\n")
         for row in rows:
             f.write(f"{row['combo']},{row['mse']!r},{row['base_mse']!r},"
                     f"{row['aux_loss']!r},{row['nmi']!r}\n")
     write_summary_json(out / "ablation.json", {"rows": rows})
+    write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base})
     for row in rows:
         print(f"{row['combo']:>14}: mse {row['mse']:.6g}")
     return 0
@@ -351,16 +352,16 @@ def cmd_analyze(args) -> int:
     coselection_path = out / "coselection.csv"
     write_matrix_csv(coselection_path, matrix)
     write_loading_csv(out / "loading.csv", loading)
-    inputs = {"trace": args.trace}
-    if args.labels:
-        inputs["labels"] = args.labels
-    write_manifest(out, "analyze", args, None, extra_inputs=inputs)
     write_summary_json(out / "summary.json", {
         "loss": load_balance_loss(trace),
         "nmi": nmi,
         "loading": [float(x) for x in loading],
         "coselection_path": coselection_path.name,
     })
+    inputs = {"trace": args.trace}
+    if args.labels:
+        inputs["labels"] = args.labels
+    write_manifest(out, "analyze", args, None, extra_inputs=inputs)
     print(f"analyze done: balance loss {load_balance_loss(trace):.6g} -> {out}")
     return 0
 

@@ -419,7 +419,9 @@ def _train_loop(task, model, cfg: TrainConfig):
     best = math.inf
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
-        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
+        # an overflowing objective is stopped by the checks below, not reported as numpy warnings first
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
         _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha), step)
         _apply_updates(model, grads, trace, cfg, opt)
         probe = _mse(model_predict(model, probe_tokens, cfg.threads), probe_targets)

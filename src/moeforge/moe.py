@@ -14,8 +14,9 @@ The pieces, in the order a layer comes to life:
 * :func:`dispatch_loop` / :func:`dispatch_batch` run tokens through the layer.
   ``dispatch_loop`` is the per-token reference: each token is a one-row
   batch through :func:`route_batch`, :func:`top_k_select_rows` and
-  :func:`~moeforge.ffn.ffn_forward_batch`. ``dispatch_batch`` checks the
-  (tokens, top_k) selection, sorts its assignments by expert once and lays
+  :func:`~moeforge.ffn.ffn_forward_batch`. Both return a
+  :class:`RoutingTrace`, which checks the (tokens, top_k) selection.
+  ``dispatch_batch`` sorts its trace's assignments by expert once and lays
   them out as expert-contiguous row blocks (:func:`row_blocks`), walked in
   chunks of consecutive experts under a fixed workspace cap
   (:data:`CHUNK_ELEMENTS`), at every batch size and thread count. Each FFN
@@ -121,24 +122,27 @@ class RouterParams:
 class RoutingTrace:
     """Per-token gates for one batch, stored columnarly.
 
-    scores is (tokens, n_experts) softmax scores; selected is
-    (tokens, top_k) ascending expert indices. An empty batch is legal and
+    scores is (tokens, n_experts) softmax scores; selected is (tokens,
+    top_k) expert indices in [0, n_experts), strictly ascending along every
+    row (else ``ValueError``): a token's experts are distinct, so the
+    co-selection diagonal is zero and :meth:`RowBlocks.fold` adds each once,
+    in dispatch_loop's order. Scores are unchecked: a diverging run routes
+    NaN scores before its divergence check. An empty batch is legal and
     keeps n_experts in the scores shape.
     """
 
-    top_k: int
     scores: np.ndarray
     selected: np.ndarray
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores)
         self.selected = np.asarray(self.selected, dtype=np.int64)
-        if self.scores.ndim != 2 or self.selected.ndim != 2:
-            raise ShapeError("RoutingTrace", self.scores.shape, self.selected.shape)
-        if self.selected.shape != (self.scores.shape[0], self.top_k):
+        if self.scores.ndim != 2 or self.selected.ndim != 2 or len(self.selected) != len(self.scores):
             raise ShapeError("RoutingTrace", self.scores.shape, self.selected.shape)
         if self.selected.size and (self.selected.min() < 0 or self.selected.max() >= self.n_experts):
-            raise ValueError("RoutingTrace: expert index out of range")
+            raise ValueError(f"RoutingTrace: expert index out of range [0, {self.n_experts})")
+        if not np.all(np.diff(self.selected, axis=1) > 0):
+            raise ValueError("RoutingTrace: selected experts must ascend strictly along every row")
 
     @property
     def n_tokens(self) -> int:
@@ -148,9 +152,9 @@ class RoutingTrace:
     def n_experts(self) -> int:
         return self.scores.shape[1]
 
-    def __len__(self) -> int:
-        return self.n_tokens
-
+    @property
+    def top_k(self) -> int:
+        return self.selected.shape[1]
 
 
 @dataclass
@@ -298,7 +302,7 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
         selected[t] = top_k_select_rows(scores[t:t + 1], cfg.top_k)[0]
         for e in selected[t].tolist():
             out[t] += ffn_forward_batch(layer.experts[e], x)[0]
-    return out, RoutingTrace(cfg.top_k, scores, selected)
+    return out, RoutingTrace(scores, selected)
 
 
 # Array elements of workspace in one chunk of dispatch_batch: a padded row
@@ -351,32 +355,24 @@ class RowBlocks(NamedTuple):
             out[tokens] = add
 
 
-def row_blocks(selected: np.ndarray, n_experts: int, max_rows: int | None = None) -> list[RowBlocks]:
-    """The block layout of a (tokens, top_k) selection, cut into runs of consecutive experts, ascending.
+def row_blocks(trace: RoutingTrace, max_rows: int | None = None) -> list[RowBlocks]:
+    """The block layout of a trace's selection, cut into runs of consecutive experts, ascending.
 
     The assignments are sorted by expert with one stable sort of the
     token-major flattened selection, so tokens ascend within each expert.
     The sort key is the smallest unsigned type that holds ``n_experts - 1``:
     for 8- and 16-bit keys numpy's stable sort is a radix sort, and a stable
-    order is unique, so the key width does not change the result. Rows must
-    ascend strictly (each expert at most once per token), or
-    :meth:`RowBlocks.fold` would drop an add or make it out of order; any
-    other row raises ``ValueError``.
+    order is unique, so the key width does not change the result. The
+    trace's rows ascend strictly, so each token's slots hold distinct
+    experts in ascending order, the order :meth:`RowBlocks.fold` adds them.
 
     A run holds the experts whose first padded row falls in one window of
     ``max_rows`` rows, so it spans at most ``max_rows`` rows plus its last
     expert's; without max_rows every expert is in one run. Several runs
     take their slots from one stable sort of the assignments by (run, slot).
     """
-    selected = np.asarray(selected)
-    if selected.ndim != 2:
-        raise ShapeError("row_blocks", selected.shape)
-    top_k = selected.shape[1]
-    flat = selected.ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= n_experts):
-        raise ValueError(f"row_blocks: expert index out of range [0, {n_experts})")
-    if not np.all(np.diff(selected, axis=1) > 0):
-        raise ValueError("row_blocks: selected experts must ascend strictly along every row")
+    n_experts, top_k = trace.n_experts, trace.top_k
+    flat = trace.selected.ravel()
     order = np.argsort(flat.astype(np.min_scalar_type(n_experts - 1)), kind="stable")
     counts = np.bincount(flat, minlength=n_experts)
     blocks = -(-counts // ROW_BLOCK)
@@ -480,10 +476,9 @@ def _route_and_lay_out(layer: MoeLayer, tokens: np.ndarray, op: str, max_rows: i
     if tokens.ndim != 2 or tokens.shape[1] != cfg.token_dim:
         raise ShapeError(op, tokens.shape, (cfg.token_dim,))
     scores = route_batch(layer.router, tokens)
-    selected = top_k_select_rows(scores, cfg.top_k)
+    trace = RoutingTrace(scores, top_k_select_rows(scores, cfg.top_k))
     out = np.zeros((tokens.shape[0], cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
-    chunks = row_blocks(selected, cfg.n_experts, max_rows)
-    return tokens, out, RoutingTrace(cfg.top_k, scores, selected), chunks
+    return tokens, out, trace, row_blocks(trace, max_rows)
 
 
 def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):

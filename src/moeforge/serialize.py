@@ -289,7 +289,7 @@ def read_trace_jsonl(path) -> RoutingTrace:
             scores.append(row)
     if not scores:
         raise FormatError(f"{path}: empty trace file")
-    return RoutingTrace(len(selected[0]), np.array(scores), np.array(selected, dtype=np.int64))
+    return RoutingTrace(np.array(scores), np.array(selected, dtype=np.int64))
 
 
 def write_labels_csv(path, labels) -> None:

@@ -131,7 +131,7 @@ def test_criterion_4_balance_loss_extrema():
     sets = [(0, 1), (2, 3), (4, 5), (6, 7)]
     selected = np.array(sets * 8, dtype=np.int64)
     scores = np.full((len(selected), 8), 1.0 / 8)
-    uniform = load_balance_loss(RoutingTrace(2, scores, selected))
+    uniform = load_balance_loss(RoutingTrace(scores, selected))
     uniform_ok = abs(uniform - 1.0) <= 1e-9
 
     # exhaustive enumeration with frequency-consistent scores
@@ -147,7 +147,7 @@ def test_criterion_4_balance_loss_extrema():
                     sc = np.zeros((t, n_experts))
                     for row, picked in enumerate(assignment):
                         sc[row, list(picked)] = 1.0 / top_k
-                    losses.append(load_balance_loss(RoutingTrace(top_k, sc, sel)))
+                    losses.append(load_balance_loss(RoutingTrace(sc, sel)))
                 minimum = min(minimum, min(losses))
                 if (t * top_k) % n_experts == 0 and abs(min(losses) - 1.0) > 1e-9:
                     exact_min_where_balanced = False

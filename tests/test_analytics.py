@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeforge.analytics import (
     CoSelectionMatrix,
@@ -25,9 +27,8 @@ from conftest import random_layer
 
 def _trace(selected_rows, n_experts):
     sel = np.array(selected_rows, dtype=np.int64)
-    top_k = sel.shape[1]
     scores = np.full((sel.shape[0], n_experts), 1.0 / n_experts)
-    return RoutingTrace(top_k, scores, sel)
+    return RoutingTrace(scores, sel)
 
 
 class TestCoSelection:
@@ -68,6 +69,31 @@ class TestCoSelection:
             assert np.array_equal(np.diag(m), np.zeros(cfg.n_experts))
             assert m.min() >= 0.0 and m.max() <= 1.0
 
+    @pytest.mark.parametrize("rows", [[[1, 1]], [[2, 0]]])
+    def test_trace_refuses_a_repeated_or_descending_row(self, rows):
+        # [1, 1] would count expert 1 as its own partner, a 1.0 on the diagonal
+        with pytest.raises(ValueError, match="ascend strictly"):
+            _trace(rows, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_trace_has_a_zero_diagonal(self, data):
+        n_experts = data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, n_experts + 1))
+        index = st.integers(0, n_experts - 1)
+        # half the draws are valid selections; the rest may repeat or descend
+        if data.draw(st.booleans()) and k <= n_experts:
+            row = st.sets(index, min_size=k, max_size=k).map(sorted)
+        else:
+            row = st.lists(index, min_size=k, max_size=k)
+        rows = data.draw(st.lists(row, min_size=1, max_size=8))
+        if not all(a < b for r in rows for a, b in zip(r, r[1:])):
+            with pytest.raises(ValueError, match="ascend strictly"):
+                _trace(rows, n_experts)
+            return
+        for normalize in ("max", "tokens"):
+            assert not np.diag(co_selection(_trace(rows, n_experts), normalize).values).any()
+
     def test_top1_gives_zero_matrix(self):
         # top-1 routing selects no pairs
         for normalize in ("max", "tokens"):
@@ -101,7 +127,7 @@ class TestExpertLoading:
 
     def test_empty_trace(self):
         with pytest.raises(ValueError):
-            assignment_fractions(RoutingTrace(2, np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64)))
+            assignment_fractions(RoutingTrace(np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64)))
 
 
 class TestPatternSpecialization:

@@ -288,7 +288,7 @@ class TestTuneCommand:
         assert capsys.readouterr().err.startswith(f"config error: {config}: 'train.{key}' must be finite, got ")
         assert not out.exists()
 
-    def test_overflowing_objective_exits_3(self, tmp_path, capsys):
+    def test_overflowing_objective_exits_3(self, tmp_path):
         # under the default moe section the step-0 balance loss is about 1.45, so alpha * aux
         # overflows: a divergence, checked by the one check both stages share
         train = {"steps": 5, "eval_tokens": 500, "probe_tokens": 64}
@@ -297,12 +297,12 @@ class TestTuneCommand:
         code, pre_dir, _ = run_pretrain(tmp_path, config=config)
         assert code == 0
         config.write_text(json.dumps({"train": {**train, "alpha": 1.5e308}}))
-        capsys.readouterr()
-        out = tmp_path / "big"
-        with np.errstate(all="ignore"):  # the router gradient of an overflowing weight is inf and NaN too
-            assert main(["tune", "--config", str(config), "--base", str(pre_dir / "base.ckpt"),
-                         "--out", str(out)]) == 3
-        assert "divergence: batch loss became non-finite at step 0" in capsys.readouterr().err
+        # in a process of its own, so that stderr holds any numpy warning printed before the check
+        proc = subprocess.run([sys.executable, "-m", "moeforge", "tune", "--config", str(config),
+                               "--base", str(pre_dir / "base.ckpt"), "--out", str(tmp_path / "big")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == "divergence: batch loss became non-finite at step 0\n"
 
     def test_threads_do_not_change_outputs(self, tmp_path, pretrained):
         # exit-code stability plus byte-identical metrics regardless of --threads
@@ -693,6 +693,34 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, slot):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and str(taken if slot == "--out" else directory) in err
+
+
+# The manifest is written last: a run that fails part-way leaves no manifest.json.
+@pytest.mark.parametrize("command", ["pretrain", "tune", "ablate", "analyze"])
+def test_failed_output_write_leaves_no_manifest(tmp_path, capsys, monkeypatch, command):
+    code, pre_dir, config = run_pretrain(tmp_path, config=write_config(tmp_path, {"train": {"steps": 5}}))
+    assert code == 0
+    base, out = str(pre_dir / "base.ckpt"), str(tmp_path / "o")
+    if command == "analyze":
+        assert main(["tune", "--config", str(config), "--base", base, "--out", str(tmp_path / "t")]) == 0
+    real = moeforge.cli.write_summary_json
+
+    def failing(path, obj):  # every run writes one JSON output besides its manifest
+        if path.name != "manifest.json":
+            raise OSError(28, "No space left on device", str(path))
+        real(path, obj)
+
+    monkeypatch.setattr(moeforge.cli, "write_summary_json", failing)
+    argv = {
+        "pretrain": ["pretrain", "--config", str(config), "--out", out],
+        "tune": ["tune", "--config", str(config), "--base", base, "--out", out],
+        "ablate": ["ablate", "--config", str(config), "--base", base, "--out", out],
+        "analyze": ["analyze", "--trace", str(tmp_path / "t" / "trace.jsonl"), "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_module_entrypoint_runs():

@@ -24,8 +24,8 @@ def _record_chunks(monkeypatch, cap):
     calls = []
     real = moe.row_blocks
 
-    def recording(selected, n_experts, max_rows=None):
-        runs = real(selected, n_experts, max_rows)
+    def recording(trace, max_rows=None):
+        runs = real(trace, max_rows)
         calls.append((max_rows, runs))
         return runs
 
@@ -161,7 +161,7 @@ def test_chunked_rows_equal_rows_dispatched_alone(rng, monkeypatch, dtype):
     first = dispatch_batch(layer, tokens[:300])
     assert len(chunks[0][1]) > len(chunks[1][1]) > 1
     assert first[0].dtype == dtype
-    head = RoutingTrace(cfg.top_k, whole[1].scores[:300], whole[1].selected[:300])
+    head = RoutingTrace(whole[1].scores[:300], whole[1].selected[:300])
     _assert_identical(first, (whole[0][:300], head))
     _assert_identical(dispatch_batch(layer, tokens[:300], threads=2), first)
 

@@ -299,11 +299,34 @@ def _tokens_per_expert(runs):
     return [run.row_token[s:s + c] for run in runs for s, c in zip(run.starts, run.counts)]
 
 
-class TestGroupByExpert:
-    """``row_blocks`` groups a selection by expert and lays the groups out in row blocks."""
+def _selection_trace(selected, n_experts):
+    """A trace of ``selected`` over n_experts experts; row_blocks reads no score."""
+    return RoutingTrace(np.zeros((len(selected), n_experts)), selected)
+
+
+class TestRoutingTrace:
+    """A trace owns its selection's invariants: shape, index range and strictly ascending rows."""
+
+    def test_out_of_range(self):
+        for selected in ([[0, 3]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="out of range"):
+                _selection_trace(np.array(selected), 3)
+        with pytest.raises(ShapeError):
+            RoutingTrace(np.zeros((2, 3)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
+    def test_rows_must_ascend_strictly(self, row):
+        # a repeated expert would be added once, not twice, and count as its
+        # own partner; a descending row would be added out of dispatch_loop's order
+        with pytest.raises(ValueError, match="ascend strictly"):
+            _selection_trace(np.array([[0, 1], row]), 5)
+
+
+class TestRowBlocks:
+    """``row_blocks`` groups a trace's selection by expert and lays the groups out in row blocks."""
 
     def _check(self, selected, n_experts, max_rows=None):
-        runs = row_blocks(selected, n_experts, max_rows)
+        runs = row_blocks(_selection_trace(selected, n_experts), max_rows)
         t, k = selected.shape
         # runs ascend and hold each expert exactly once
         sizes = [len(run.counts) for run in runs]
@@ -349,7 +372,7 @@ class TestGroupByExpert:
 
     def test_empty_batch(self):
         for max_rows in (None, 1):
-            [run] = row_blocks(np.zeros((0, 3), dtype=np.int64), 5, max_rows)
+            [run] = row_blocks(_selection_trace(np.zeros((0, 3), dtype=np.int64), 5), max_rows)
             assert run.first == 0 and run.counts.tolist() == [0] * 5
             assert run.row_token.shape == (0,) and run.block_expert.shape == (0,)
             assert [rows.size for _, rows in run.slots] == [0, 0, 0]
@@ -375,20 +398,6 @@ class TestGroupByExpert:
         for max_rows in (None, 1):
             runs = self._check(selected, n_experts, max_rows)
             assert _tokens_per_expert(runs)[top].tolist() == [0, 1, 3, 4]
-
-    def test_out_of_range(self):
-        for selected in ([[0, 3]], [[-1, 0]]):
-            with pytest.raises(ValueError, match="out of range"):
-                row_blocks(np.array(selected), 3)
-        with pytest.raises(ShapeError):
-            row_blocks(np.array([0, 1]), 3)
-
-    @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
-    def test_rows_must_ascend_strictly(self, row):
-        # a repeated expert would be added once, not twice; a descending
-        # row would be added out of dispatch_loop's order
-        with pytest.raises(ValueError, match="ascend strictly"):
-            row_blocks(np.array([[0, 1], row]), 5)
 
 
 class TestDispatchLoop:
@@ -438,7 +447,7 @@ def _uniform_trace(n_experts, top_k, repeats=3):
     sets = [tuple(range(i, i + top_k)) for i in range(0, n_experts, top_k)]
     selected = np.array(sets * repeats, dtype=np.int64)
     scores = np.full((len(selected), n_experts), 1.0 / n_experts)
-    return RoutingTrace(top_k, scores, selected)
+    return RoutingTrace(scores, selected)
 
 
 def _hard_trace(assignments, n_experts, top_k):
@@ -447,7 +456,7 @@ def _hard_trace(assignments, n_experts, top_k):
     scores = np.zeros((len(assignments), n_experts))
     for t, row in enumerate(assignments):
         scores[t, list(row)] = 1.0 / top_k
-    return RoutingTrace(top_k, scores, selected)
+    return RoutingTrace(scores, selected)
 
 
 class TestLoadBalanceLoss:
@@ -492,10 +501,10 @@ class TestLoadBalanceLoss:
             s = np.exp(z - z.max(axis=1, keepdims=True))
             s /= s.sum(axis=1, keepdims=True)
             sel = top_k_select_rows(s, 4)
-            assert load_balance_loss(RoutingTrace(4, s, sel)) >= 1.0 - 1e-9
+            assert load_balance_loss(RoutingTrace(s, sel)) >= 1.0 - 1e-9
 
     def test_empty_trace_error(self):
-        trace = RoutingTrace(2, np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64))
+        trace = RoutingTrace(np.zeros((0, 4)), np.zeros((0, 2), dtype=np.int64))
         with pytest.raises(ValueError):
             load_balance_loss(trace)
 

@@ -434,7 +434,7 @@ def test_trace_write_read_roundtrip(tmp_path_factory, data):
                                       max_size=n_tokens * n_experts))).reshape(n_tokens, n_experts)
     rows = [sorted(data.draw(st.lists(st.integers(0, n_experts - 1), min_size=top_k, max_size=top_k,
                                       unique=True))) for _ in range(n_tokens)]
-    trace = RoutingTrace(top_k, raw / raw.sum(axis=1, keepdims=True), np.array(rows))
+    trace = RoutingTrace(raw / raw.sum(axis=1, keepdims=True), np.array(rows))
     path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
     write_trace_jsonl(path, trace)
     written = path.read_bytes()
