@@ -44,6 +44,7 @@ balance loss with the assignment fractions held constant.
 
 from __future__ import annotations
 
+import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -279,6 +280,20 @@ def _top_k_by_argsort(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.sort(order[..., :top_k], axis=-1)
 
 
+def _laid_out(params, *names: str):
+    """A shallow copy of ``params`` whose weights ``names`` are transposed views of C-contiguous copies.
+
+    ``view.w.T`` is then a C-contiguous array holding ``params.w.T``'s values,
+    the operand :func:`mm` would copy it to, so mm copies nothing. The copy
+    skips the params' constructor, as ``FfnParams.__getitem__`` does: the
+    weights are not validated again.
+    """
+    view = copy.copy(params)
+    for name in names:
+        setattr(view, name, np.ascontiguousarray(getattr(params, name).T).T)
+    return view
+
+
 def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     """Sequential reference path: each token routed, gated and evaluated as a one-row batch.
 
@@ -287,6 +302,14 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     on top of a zero row in ascending index order, the exact fold
     dispatch_batch reproduces. Output, scores and selection are shaped and
     typed as dispatch_batch's, an empty batch included.
+
+    Each weight a call multiplies by is laid out once per call, not once per
+    product: the router's before the first token, an expert's the first time
+    a token selects it (:func:`_laid_out`), so a call holds two weight copies
+    per expert it selects. :func:`mm` brings every operand to that same
+    C-contiguous layout before its kernel runs, so the kernel sees the same
+    operands and returns the same bits. Nothing is kept between calls, so
+    weights updated in place are read afresh.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
@@ -296,12 +319,16 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     out = np.zeros((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
     scores = np.empty((n, cfg.n_experts), dtype=np.result_type(tokens, layer.router.w_r, layer.router.b_r))
     selected = np.empty((n, cfg.top_k), dtype=np.int64)
+    router = _laid_out(layer.router, "w_r") if n else None
+    experts = {}
     for t in range(n):
         x = tokens[t:t + 1]
-        scores[t] = route_batch(layer.router, x)[0]
+        scores[t] = route_batch(router, x)[0]
         selected[t] = top_k_select_rows(scores[t:t + 1], cfg.top_k)[0]
         for e in selected[t].tolist():
-            out[t] += ffn_forward_batch(layer.experts[e], x)[0]
+            if e not in experts:
+                experts[e] = _laid_out(layer.experts[e], "w1", "w2")
+            out[t] += ffn_forward_batch(experts[e], x)[0]
     return out, RoutingTrace(scores, selected)
 
 

@@ -215,16 +215,32 @@ def load_toy_model(path) -> ToyModel:
     return ToyModel(input_w, input_b, block, head_w, head_b)
 
 
+# Rows write_trace_jsonl turns into Python lists and text at a time, so its
+# memory does not grow with the trace. At 16 experts a slice of 256 rows
+# peaks at 0.4 MB (tracemalloc) and one of 4096 rows at 6 MB, which showed
+# in a default tune's peak RSS; from 256 rows up, the time per row is flat.
+_TRACE_SLICE = 256
+
+
 def write_trace_jsonl(path, trace: RoutingTrace) -> None:
+    """One ``{"token_id": t, "selected": [...], "scores": [...]}`` line per token.
+
+    The text is ``json.dumps``'s: a finite row is formatted from the repr of
+    its Python lists, the same text json writes for ints and floats, and a
+    row holding NaN or inf goes through json.dumps, which spells those
+    ``NaN``/``Infinity``. float32 scores are written as the float64 values
+    they widen to.
+    """
     with open(path, "w") as f:
-        for t in range(trace.n_tokens):
-            record = {
-                "token_id": t,
-                "selected": [int(i) for i in trace.selected[t]],
-                "scores": [float(s) for s in trace.scores[t]],
-            }
-            f.write(json.dumps(record))
-            f.write("\n")
+        for lo in range(0, trace.n_tokens, _TRACE_SLICE):
+            hi = lo + _TRACE_SLICE
+            scores = trace.scores[lo:hi].astype(np.float64, copy=False)
+            rows = zip(range(lo, hi), trace.selected[lo:hi].tolist(), scores.tolist(),
+                       np.isfinite(scores).all(axis=1).tolist())
+            f.write("".join(
+                f'{{"token_id": {t}, "selected": {sel!r}, "scores": {sc!r}}}\n' if ok
+                else json.dumps({"token_id": t, "selected": sel, "scores": sc}) + "\n"
+                for t, sel, sc, ok in rows))
 
 
 def _trace_record(line: bytes, token_id: int, n_experts: int | None, top_k: int | None):

@@ -589,6 +589,24 @@ class TestBenchCommand:
         assert code == 0
         assert "equivalence: identical" in capsys.readouterr().out
 
+    def test_f32_on_two_threads(self, capsys, monkeypatch):
+        # 300 tokens at this shape make several chunks, so the pool runs them
+        chunks = []
+        real = moeforge.moe.row_blocks
+
+        def recording(trace, max_rows=None):
+            chunks.append(real(trace, max_rows))
+            return chunks[-1]
+
+        monkeypatch.setattr(moeforge.moe, "row_blocks", recording)
+        code = main(["bench-dispatch", "--f32", "--threads", "2", "--tokens", "300", "--token-dim", "64",
+                     "--hidden", "256", "--replicas", "4", "--granularity", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "equivalence: identical"
+        assert "(threads=2)" in out
+        assert len(chunks[0]) > 1
+
     @pytest.mark.parametrize("tokens", ["0", "-3"])
     def test_tokens_below_one_rejected(self, capsys, tokens):
         # an empty batch has no throughput to report

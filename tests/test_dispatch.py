@@ -266,6 +266,44 @@ def test_loop_and_batch_agree_on_dtype_and_shape(rng, dtype, n_tokens):
     _assert_identical(batched, looped)
 
 
+def _layer_bytes(layer):
+    experts, router = layer.experts, layer.router
+    return [a.tobytes() for a in (experts.w1, experts.b1, experts.w2, experts.b2, router.w_r, router.b_r)]
+
+
+def test_loop_keeps_no_state_between_calls(rng):
+    # the loop lays its weights out afresh each call, so weights trained in place are read
+    layer, _, cfg = random_layer(rng)
+    tokens = rng.normal(size=(40, cfg.token_dim))
+    before = _layer_bytes(layer)
+    first = dispatch_loop(layer, tokens)
+    assert _layer_bytes(layer) == before
+    e = int(first[1].selected[0, 0])
+    layer.experts.w1[e] += 0.5 * rng.normal(size=layer.experts.w1[e].shape)
+    layer.router.w_r += 0.5 * rng.normal(size=layer.router.w_r.shape)
+    updated = _layer_bytes(layer)
+    second = dispatch_loop(layer, tokens)
+    assert _layer_bytes(layer) == updated
+    _assert_identical(second, dispatch_batch(layer, tokens))
+    assert not np.array_equal(second[0], first[0])
+    assert not np.array_equal(second[1].scores, first[1].scores)
+
+
+def test_loop_does_not_revalidate_a_weight_made_non_finite_in_place(rng):
+    # a NaN written into an expert after construction reaches its tokens' rows, as in dispatch_batch
+    layer, _, cfg = random_layer(rng)
+    tokens = rng.normal(size=(40, cfg.token_dim))
+    e = int(dispatch_loop(layer, tokens)[1].selected[0, 0])
+    layer.experts.w1[e, 0, 0] = np.nan
+    out, trace = dispatch_loop(layer, tokens)
+    hit = (trace.selected == e).any(axis=1)
+    assert hit.any() and not hit.all()
+    assert np.isnan(out[hit]).all() and np.isfinite(out[~hit]).all()
+    out_b, trace_b = dispatch_batch(layer, tokens)
+    assert np.array_equal(out, out_b, equal_nan=True)
+    assert np.array_equal(trace.selected, trace_b.selected)
+
+
 def test_dimension_mismatch(rng):
     layer, _, cfg = random_layer(rng)
     with pytest.raises(ShapeError):

@@ -9,6 +9,8 @@ import pytest
 
 import moeforge
 from moeforge import numkernel
+from moeforge.ffn import FfnParams, ffn_forward_batch, init_ffn
+from moeforge.moe import RouterParams, route_batch
 from moeforge.numkernel import (
     ROW_BLOCK,
     ShapeError,
@@ -159,6 +161,33 @@ class TestMm:
         assert np.array_equal(mm(a, np.asfortranarray(w.T)), mm(a, np.ascontiguousarray(w.T)))
         view = rng.normal(size=(10, 7))[::2]
         assert np.array_equal(mm(view, w.T), mm(view.copy(), w.T))
+        # a weight held as the .T view of a C-contiguous copy of its .T, as
+        # dispatch_loop lays it out, at the (n, p) of both dispatch shapes
+        for dtype in (np.float64, np.float32):
+            for n, p in ((256, 512), (512, 256), (64, 32), (32, 64)):
+                w = rng.normal(size=(p, n)).astype(dtype)
+                v = np.ascontiguousarray(w.T).T
+                assert v.flags.f_contiguous and not v.flags.c_contiguous
+                for rows in (1, ROW_BLOCK + 1):
+                    a = rng.normal(size=(rows, n)).astype(dtype)
+                    assert np.array_equal(mm(a, v.T), mm(a, w.T))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_and_route_on_transposed_copies(self, dtype):
+        # the operands dispatch_loop hands ffn_forward_batch and route_batch
+        rng = make_rng(5)
+        p = init_ffn(16, 24, rng, activation="gelu", dtype=dtype)
+        p.b1 += rng.normal(size=p.b1.shape).astype(dtype)
+        p.b2 += rng.normal(size=p.b2.shape).astype(dtype)
+        laid = FfnParams(np.ascontiguousarray(p.w1.T).T, p.b1, np.ascontiguousarray(p.w2.T).T, p.b2,
+                         p.activation)
+        assert laid.w1.T.flags.c_contiguous and laid.w2.T.flags.c_contiguous
+        r = RouterParams(rng.normal(size=(6, 16)).astype(dtype), rng.normal(size=6).astype(dtype))
+        laid_r = RouterParams(np.ascontiguousarray(r.w_r.T).T, r.b_r)
+        for rows in (1, ROW_BLOCK + 1):
+            x = rng.normal(size=(rows, 16)).astype(dtype)
+            assert np.array_equal(ffn_forward_batch(laid, x), ffn_forward_batch(p, x))
+            assert np.array_equal(route_batch(laid_r, x), route_batch(r, x))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_empty_dimensions(self, dtype):

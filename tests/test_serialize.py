@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeforge import serialize
 from moeforge.cli import main
 from moeforge.harness import ToyModel, init_toy_model
 from moeforge.moe import MoeConfig, dispatch_batch, expand_supernet
@@ -442,6 +443,45 @@ def test_trace_write_read_roundtrip(tmp_path_factory, data):
     assert np.array_equal(loaded.scores, trace.scores) and np.array_equal(loaded.selected, trace.selected)
     write_trace_jsonl(path, loaded)
     assert path.read_bytes() == written
+
+
+def _json_dumps_trace(trace) -> str:
+    """The trace text as one json.dumps per token."""
+    return "".join(json.dumps({"token_id": t, "selected": [int(i) for i in trace.selected[t]],
+                               "scores": [float(s) for s in trace.scores[t]]}) + "\n"
+                   for t in range(trace.n_tokens))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trace_writer_matches_json_dumps(tmp_path_factory, data):
+    # any float, NaN, +-inf, -0.0, subnormals and huge values included, float32 too
+    n_experts = data.draw(st.integers(1, 6))
+    top_k = data.draw(st.one_of(st.just(n_experts), st.integers(1, n_experts)))
+    n_tokens = data.draw(st.integers(0, 5))
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    floats = st.floats(width=64 if dtype == np.float64 else 32)
+    scores = np.array(data.draw(st.lists(floats, min_size=n_tokens * n_experts, max_size=n_tokens * n_experts)),
+                      dtype=dtype).reshape(n_tokens, n_experts)
+    rows = [sorted(data.draw(st.lists(st.integers(0, n_experts - 1), min_size=top_k, max_size=top_k,
+                                      unique=True))) for _ in range(n_tokens)]
+    trace = RoutingTrace(scores, np.array(rows, dtype=np.int64).reshape(n_tokens, top_k))
+    path = tmp_path_factory.getbasetemp() / "dumps.jsonl"
+    write_trace_jsonl(path, trace)
+    assert path.read_text() == _json_dumps_trace(trace)
+
+
+def test_trace_writer_slices_match_json_dumps(tmp_path, monkeypatch, rng):
+    # rows are listed a slice at a time; non-finite rows fall in several slices
+    monkeypatch.setattr(serialize, "_TRACE_SLICE", 3)
+    layer, _, cfg = random_layer(rng, perturb=0.4)
+    _, trace = dispatch_batch(layer, rng.normal(size=(10, cfg.token_dim)))
+    trace.scores[[1, 4, 9], [0, 1, 2]] = [np.nan, np.inf, -np.inf]
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(path, trace)
+    text = path.read_text()
+    assert text == _json_dumps_trace(trace)
+    assert "NaN" in text and "-Infinity" in text
 
 
 def test_labels_csv_roundtrip(tmp_path):
