@@ -92,13 +92,6 @@ class FfnGrads:
     w2: np.ndarray
     b2: np.ndarray
 
-    @classmethod
-    def zeros(cls, p: FfnParams) -> "FfnGrads":
-        return cls(*(np.zeros_like(a) for a in (p.w1, p.b1, p.w2, p.b2)))
-
-    def __setitem__(self, e, g: "FfnGrads") -> None:
-        self.w1[e], self.b1[e], self.w2[e], self.b2[e] = g.w1, g.b1, g.w2, g.b2
-
 
 def init_ffn(token_dim: int, hidden_dim: int, rng: np.random.Generator,
              activation: str = "relu", dtype=np.float64) -> FfnParams:

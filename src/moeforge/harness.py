@@ -519,7 +519,9 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
     Rejects draws whose routing margin (k-th vs (k+1)-th score, if some
     expert is left out) falls under 1e-4 or whose selected-expert
     preactivations sit within 1e-3 of the relu kink, both of which would
-    make finite differences unreliable. Gives up after 64 draws.
+    make finite differences unreliable. Gives up after 64 draws with a
+    ``ValueError``: a shape whose margins never clear (thousands of experts,
+    a wide top-k) cannot be checked.
     """
     token_dim, hidden_dim, n_replicas, granularity = dims
     for _ in range(64):
@@ -549,7 +551,7 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
         if min(np.min(np.abs(saved.z1[rows]), initial=math.inf) for _, rows in saved.blocks.slots) < 1e-3:
             continue
         return model, tokens, targets
-    raise RuntimeError(f"gradcheck: could not build a well-margined instance for dims {dims}")
+    raise ValueError(f"gradcheck: no well-margined instance of shape {'x'.join(map(str, dims))} in 64 draws")
 
 
 @np.errstate(invalid="ignore")  # an inf gradient gives inf / inf: a NaN error, which fails

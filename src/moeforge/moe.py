@@ -44,7 +44,6 @@ balance loss with the assignment fractions held constant.
 
 from __future__ import annotations
 
-import copy
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -280,20 +279,6 @@ def _top_k_by_argsort(scores: np.ndarray, top_k: int) -> np.ndarray:
     return np.sort(order[..., :top_k], axis=-1)
 
 
-def _laid_out(params, *names: str):
-    """A shallow copy of ``params`` whose weights ``names`` are transposed views of C-contiguous copies.
-
-    ``view.w.T`` is then a C-contiguous array holding ``params.w.T``'s values,
-    the operand :func:`mm` would copy it to, so mm copies nothing. The copy
-    skips the params' constructor, as ``FfnParams.__getitem__`` does: the
-    weights are not validated again.
-    """
-    view = copy.copy(params)
-    for name in names:
-        setattr(view, name, np.ascontiguousarray(getattr(params, name).T).T)
-    return view
-
-
 def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     """Sequential reference path: each token routed, gated and evaluated as a one-row batch.
 
@@ -303,13 +288,13 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     dispatch_batch reproduces. Output, scores and selection are shaped and
     typed as dispatch_batch's, an empty batch included.
 
-    Each weight a call multiplies by is laid out once per call, not once per
-    product: the router's before the first token, an expert's the first time
-    a token selects it (:func:`_laid_out`), so a call holds two weight copies
-    per expert it selects. :func:`mm` brings every operand to that same
-    C-contiguous layout before its kernel runs, so the kernel sees the same
-    operands and returns the same bits. Nothing is kept between calls, so
-    weights updated in place are read afresh.
+    The expert stack is laid out once per call, not once per product: the
+    call takes one view of the stack whose w1 and w2 are transposed views of
+    C-contiguous copies, so each ``experts[e].w.T`` that :func:`mm` receives
+    is already in the C-contiguous layout mm brings every operand to, and
+    the kernel sees the same operands and returns the same bits. The router,
+    a single (n_experts, dim) weight, is read as stored. Nothing is kept
+    between calls, so weights updated in place are read afresh.
     """
     tokens = np.asarray(tokens)
     cfg = layer.config
@@ -319,15 +304,14 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
     out = np.zeros((n, cfg.token_dim), dtype=np.result_type(tokens, layer.experts.w1))
     scores = np.empty((n, cfg.n_experts), dtype=np.result_type(tokens, layer.router.w_r, layer.router.b_r))
     selected = np.empty((n, cfg.top_k), dtype=np.int64)
-    router = _laid_out(layer.router, "w_r") if n else None
-    experts = {}
+    experts = layer.experts[:]
+    experts.w1, experts.w2 = (np.ascontiguousarray(w.swapaxes(-1, -2)).swapaxes(-1, -2)
+                              for w in (experts.w1, experts.w2))
     for t in range(n):
         x = tokens[t:t + 1]
-        scores[t] = route_batch(router, x)[0]
+        scores[t] = route_batch(layer.router, x)[0]
         selected[t] = top_k_select_rows(scores[t:t + 1], cfg.top_k)[0]
         for e in selected[t].tolist():
-            if e not in experts:
-                experts[e] = _laid_out(layer.experts[e], "w1", "w2")
             out[t] += ffn_forward_batch(experts[e], x)[0]
     return out, RoutingTrace(scores, selected)
 
@@ -401,7 +385,7 @@ def row_blocks(trace: RoutingTrace, max_rows: int | None = None) -> list[RowBloc
     n_experts, top_k = trace.n_experts, trace.top_k
     flat = trace.selected.ravel()
     order = np.argsort(flat.astype(np.min_scalar_type(n_experts - 1)), kind="stable")
-    counts = np.bincount(flat, minlength=n_experts)
+    counts = assignment_counts(trace)
     blocks = -(-counts // ROW_BLOCK)
     ends = np.cumsum(blocks) * ROW_BLOCK
     starts = ends - blocks * ROW_BLOCK
@@ -487,13 +471,14 @@ def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.nda
     a = act(z1)
     dz1 = mm_grouped(dy, experts.w2, be) * act_grad(z1)
     dx = mm_grouped(dz1, experts.w1, be)
-    grads = FfnGrads.zeros(experts)
+    g_w1, g_b1, g_w2, g_b2 = (np.zeros_like(w) for w in (experts.w1, experts.b1, experts.w2, experts.b2))
     for e in np.flatnonzero(blocks.counts).tolist():
         r = slice(blocks.starts[e], blocks.starts[e] + blocks.counts[e])
-        grads[e] = FfnGrads(mm(dz1[r].T, x[r]), dz1[r].sum(axis=0), mm(dy[r].T, a[r]), dy[r].sum(axis=0))
+        g_w1[e], g_b1[e] = mm(dz1[r].T, x[r]), dz1[r].sum(axis=0)
+        g_w2[e], g_b2[e] = mm(dy[r].T, a[r]), dy[r].sum(axis=0)
     du = np.zeros_like(upstream)
     blocks.fold(dx, du)
-    return grads, du
+    return FfnGrads(g_w1, g_b1, g_w2, g_b2), du
 
 
 def _route_and_lay_out(layer: MoeLayer, tokens: np.ndarray, op: str, max_rows: int | None):

@@ -446,6 +446,13 @@ class TestGradcheckCommand:
     def test_oversized_sizes_rejected(self):
         assert main(["gradcheck", "--sizes", "128x256x4x2"]) == 2
 
+    def test_accepted_shape_without_a_margined_instance_is_a_config_error(self, capsys):
+        # 4096 experts, top-64: the 64th and 65th scores never part by the margin
+        assert main(["gradcheck", "--sizes", "64x64x64x64"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and "64x64x64x64" in captured.err
+        assert "group" not in captured.out
+
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_instances_below_one_rejected(self, capsys, instances):
         # zero instances would check nothing and pass

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moeforge import moe, numkernel
+from moeforge import ffn, moe, numkernel
 from moeforge.ffn import FfnParams
 from moeforge.moe import (MoeConfig, MoeLayer, RouterParams, RoutingTrace, dispatch_batch, dispatch_loop,
                           expand_supernet)
@@ -302,6 +302,24 @@ def test_loop_does_not_revalidate_a_weight_made_non_finite_in_place(rng):
     out_b, trace_b = dispatch_batch(layer, tokens)
     assert np.array_equal(out, out_b, equal_nan=True)
     assert np.array_equal(trace.selected, trace_b.selected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_loop_hands_mm_expert_weights_it_need_not_copy(rng, monkeypatch, dtype):
+    # the loop lays the stack out once per call, so no per-token product copies an expert weight
+    base = random_ffn(rng, 8, 16, activation="gelu", dtype=dtype)
+    layer = expand_supernet(base, MoeConfig(token_dim=8, hidden_dim=16, n_replicas=3, granularity=2, seed=6))
+    tokens = rng.normal(size=(9, 8)).astype(dtype)
+    weights = []
+
+    def spy(a, b):
+        weights.append(b)
+        return numkernel.mm(a, b)
+
+    monkeypatch.setattr(ffn, "mm", spy)
+    _, trace = dispatch_loop(layer, tokens)
+    assert len(weights) == 2 * trace.selected.size
+    assert all(w.flags.c_contiguous and w.dtype == dtype for w in weights)
 
 
 def test_dimension_mismatch(rng):

@@ -174,7 +174,7 @@ class TestMm:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_forward_and_route_on_transposed_copies(self, dtype):
-        # the operands dispatch_loop hands ffn_forward_batch and route_batch
+        # weights as dispatch_loop lays out its expert stack: transposed views of C-contiguous copies
         rng = make_rng(5)
         p = init_ffn(16, 24, rng, activation="gelu", dtype=dtype)
         p.b1 += rng.normal(size=p.b1.shape).astype(dtype)
