@@ -1,12 +1,14 @@
 """Command-line surface.
 
 Subcommands: pretrain, tune, ablate, analyze, gradcheck, bench-dispatch,
-split-inspect. Every run writes a manifest.json holding the resolved config,
-effective seed, thread count and dtype (analyze takes none of the three),
-input hashes, and the matrix kernel with the numpy and BLAS versions under
-it, so a run is reproducible from its manifest alone; it is written last,
-so a run directory without one is incomplete. Commands never mutate their
-input files.
+split-inspect. Every run writes a manifest.json holding the resolved config
+(its section seeds are the ones used), --seed as given (null without it),
+the thread count and dtype (analyze has neither), input hashes, and the
+matrix kernel with the numpy and BLAS versions under it, so a run is
+reproducible from its manifest alone; it is written last, so a run
+directory without one is incomplete. tune and ablate run in their base
+checkpoint's dtype; pretrain and bench-dispatch take --f32. Commands never
+mutate their input files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
 3 divergence, 4 step-0 identity violation, 5 gradcheck failure, 6 internal
@@ -170,26 +172,10 @@ def _seed(args, absent=None):
     return args.seed
 
 
-def _apply_seed_override(cfg: dict, seed: int | None) -> dict:
-    if seed is None:
-        return cfg
-    for section in ("task", "model", "moe", "train"):
-        cfg[section]["seed"] = seed
-    return cfg
-
-
 def _at_least_one(flag: str, value: int) -> int:
     if value < 1:
         raise ConfigError(f"{flag} must be >= 1, got {value}")
     return value
-
-
-def _resolve_threads(args) -> int:
-    return _at_least_one("--threads", args.threads)
-
-
-def _dtype_of(args):
-    return np.float32 if args.f32 else np.float64
 
 
 def _from_section(path, section: str, make, *args, **kwargs):
@@ -203,7 +189,8 @@ def _from_section(path, section: str, make, *args, **kwargs):
 
 
 def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
-                   extra_inputs: dict | None = None) -> None:
+                   extra_inputs: dict | None = None, threads: int | None = None, dtype=None) -> None:
+    """manifest.json of a run; ``threads`` and ``dtype`` are those it ran with, None for analyze."""
     inputs = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -219,9 +206,9 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
         "inputs": inputs,
         "resolved_config": resolved_config,
         "seed": getattr(args, "seed", None),
-        # analyze takes neither flag: it runs float64, on no pool
-        **({"threads": _resolve_threads(args), "dtype": "f32" if args.f32 else "f64"}
-           if hasattr(args, "threads") else {}),
+        # analyze runs float64, on no pool
+        **({"threads": threads, "dtype": "f32" if dtype == np.float32 else "f64"}
+           if threads is not None else {}),
         # the bytes of every output depend on the matrix kernel and the BLAS under it
         "kernel": KERNEL,
         "numpy": np.__version__,
@@ -232,42 +219,20 @@ def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
     write_summary_json(out_dir / "manifest.json", manifest)
 
 
-def _write_curves_csv(path, curves: list[dict], with_aux: bool) -> None:
-    """One row per training step; a tune's rows add the balance loss, ``batch_aux``."""
-    columns = ["step", "batch_mse", "probe_mse", "probe_mse_smoothed"] + (["batch_aux"] if with_aux else [])
+# One row per training step; a tune's rows add the balance loss, batch_aux.
+_CURVE_COLUMNS = ("step", "batch_mse", "probe_mse", "probe_mse_smoothed")
+
+
+def _write_rows_csv(path, columns, rows: list[dict]) -> None:
+    """A header of ``columns``, then one line per row; str writes a float in its shortest round-trip form."""
     with open(path, "w") as f:
         f.write(",".join(columns) + "\n")
-        for row in curves:
-            f.write(",".join(repr(row[c]) if c != "step" else str(row[c]) for c in columns) + "\n")
+        for row in rows:
+            f.write(",".join(str(row[c]) for c in columns) + "\n")
 
 
-def _build_task_and_train(cfg: dict, args):
-    task = _from_section(args.config, "task", make_task, **cfg["task"], dtype=_dtype_of(args))
-    return task, _from_section(args.config, "train", TrainConfig, **cfg["train"], threads=_resolve_threads(args))
-
-
-def cmd_pretrain(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), _seed(args))
-    task, train_cfg = _build_task_and_train(cfg, args)
-    model = _from_section(args.config, "model", init_toy_model, cfg["task"]["token_dim"], **cfg["model"],
-                          dtype=_dtype_of(args))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = pretrain(task, model, train_cfg)
-    save_toy_model(out / "base.ckpt", result.model)
-    _write_curves_csv(out / "curves.csv", result.curves, with_aux=False)
-    write_summary_json(out / "metrics.json", {
-        "mse": result.final_eval.mse,
-        "steps": train_cfg.steps,
-        "stage": "pretrain",
-    })
-    write_manifest(out, "pretrain", args, cfg)
-    print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {out}")
-    return 0
-
-
-def _load_base(path, cfg: dict, args) -> ToyModel:
-    """The dense base checkpoint at path, checked against the config and the run's dtype."""
+def _load_base(path, cfg: dict) -> ToyModel:
+    """The dense base checkpoint at path, checked against the config; its dtype is the run's."""
     base = load_toy_model(path)
     if base.kind != "dense":
         raise ConfigError(f"{path}: base checkpoint must hold a dense model")
@@ -280,10 +245,6 @@ def _load_base(path, cfg: dict, args) -> ToyModel:
     if block.activation != cfg["model"]["activation"]:
         raise ConfigError(f"{path}: checkpoint activation {block.activation} "
                           f"does not match config model.activation {cfg['model']['activation']}")
-    dtype = np.dtype(_dtype_of(args))
-    if block.w1.dtype != dtype:
-        raise ConfigError(f"{path}: checkpoint dtype {block.w1.dtype} does not match the run's {dtype} "
-                          f"(--f32 runs float32)")
     return base
 
 
@@ -299,42 +260,73 @@ def _moe_config(cfg: dict) -> MoeConfig:
     return MoeConfig(token_dim=cfg["task"]["token_dim"], hidden_dim=cfg["model"]["hidden_dim"], **cfg["moe"])
 
 
-def cmd_tune(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), _seed(args))
-    task, train_cfg = _build_task_and_train(cfg, args)
-    base = _load_base(args.base, cfg, args)
-    moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
+def _set_up_training(args, base_path=None):
+    """``(cfg, task, train_cfg, model, moe_cfg, out)`` of a pretrain, or of a tune or ablate from ``base_path``.
+
+    --seed replaces every section seed. A pretrain draws a fresh model in
+    --f32's dtype and has no moe_cfg; a tune or ablate trains the base
+    checkpoint, in its dtype. --out is created only after every input has
+    passed its checks, so a rejected run leaves no directory.
+    """
+    cfg = load_config(args.config)
+    seed = _seed(args)
+    if seed is not None:
+        for section in cfg.values():
+            section["seed"] = seed
+    base = None if base_path is None else _load_base(base_path, cfg)
+    dtype = (np.float32 if args.f32 else np.float64) if base is None else base.block.w1.dtype
+    task = _from_section(args.config, "task", make_task, **cfg["task"], dtype=dtype)
+    train_cfg = _from_section(args.config, "train", TrainConfig, **cfg["train"],
+                              threads=_at_least_one("--threads", args.threads))
+    if base is None:
+        model, moe_cfg = _from_section(args.config, "model", init_toy_model, cfg["task"]["token_dim"],
+                                       **cfg["model"], dtype=dtype), None
+    else:
+        model, moe_cfg = base, _from_section(args.config, "moe", _moe_config, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return cfg, task, train_cfg, model, moe_cfg, out
+
+
+def cmd_pretrain(args) -> int:
+    cfg, task, train_cfg, model, _, out = _set_up_training(args)
+    result = pretrain(task, model, train_cfg)
+    save_toy_model(out / "base.ckpt", result.model)
+    _write_rows_csv(out / "curves.csv", _CURVE_COLUMNS, result.curves)
+    write_summary_json(out / "metrics.json", {
+        "mse": result.final_eval.mse,
+        "steps": train_cfg.steps,
+        "stage": "pretrain",
+    })
+    write_manifest(out, "pretrain", args, cfg, threads=train_cfg.threads, dtype=task.centers.dtype)
+    print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {out}")
+    return 0
+
+
+def cmd_tune(args) -> int:
+    cfg, task, train_cfg, base, moe_cfg, out = _set_up_training(args, args.base)
     result = moe_tune(task, base, moe_cfg, train_cfg)
     save_toy_model(out / "tuned.ckpt", result.model)
-    _write_curves_csv(out / "curves.csv", result.curves, with_aux=True)
+    _write_rows_csv(out / "curves.csv", _CURVE_COLUMNS + ("batch_aux",), result.curves)
     write_summary_json(out / "metrics.json", result.metrics)
     write_trace_jsonl(out / "trace.jsonl", result.final_eval.trace)
     write_labels_csv(out / "labels.csv", result.final_eval.labels)
     write_matrix_csv(out / "coselection.csv", result.coselection)
     write_loading_csv(out / "loading.csv", assignment_fractions(result.final_eval.trace))
-    write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base})
+    write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base},
+                   threads=train_cfg.threads, dtype=task.centers.dtype)
     print(f"tune done: base mse {result.metrics['base_mse']:.6g} -> "
           f"tuned mse {result.metrics['mse']:.6g}, nmi {result.metrics['nmi']:.3f} -> {out}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_seed_override(load_config(args.config), _seed(args))
-    task, train_cfg = _build_task_and_train(cfg, args)
-    base = _load_base(args.base, cfg, args)
-    moe_cfg = _from_section(args.config, "moe", _moe_config, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg, task, train_cfg, base, moe_cfg, out = _set_up_training(args, args.base)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)
-    with open(out / "ablation.csv", "w") as f:
-        f.write("combo,mse,base_mse,aux_loss,nmi\n")
-        for row in rows:
-            f.write(f"{row['combo']},{row['mse']!r},{row['base_mse']!r},"
-                    f"{row['aux_loss']!r},{row['nmi']!r}\n")
+    _write_rows_csv(out / "ablation.csv", ("combo", "mse", "base_mse", "aux_loss", "nmi"), rows)
     write_summary_json(out / "ablation.json", {"rows": rows})
-    write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base})
+    write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base},
+                   threads=train_cfg.threads, dtype=task.centers.dtype)
     for row in rows:
         print(f"{row['combo']:>14}: mse {row['mse']:.6g}")
     return 0
@@ -405,7 +397,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench_dispatch(args) -> int:
-    threads = _resolve_threads(args)
+    threads = _at_least_one("--threads", args.threads)
     n = _at_least_one("--tokens", args.tokens)
     for flag, value in (("--token-dim", args.token_dim), ("--hidden", args.hidden),
                         ("--replicas", args.replicas), ("--granularity", args.granularity)):
@@ -415,7 +407,7 @@ def cmd_bench_dispatch(args) -> int:
     if not 0 <= args.top_k <= args.replicas * args.granularity:
         raise ConfigError(f"--top-k must be in [0, {args.replicas * args.granularity}] "
                           f"(0 tracks --granularity), got {args.top_k}")
-    dtype = _dtype_of(args)
+    dtype = np.float32 if args.f32 else np.float64
     seed = _seed(args, 0)
     rng = make_rng(seed, STREAM_BENCH)
     cfg = MoeConfig(token_dim=args.token_dim, hidden_dim=args.hidden,
@@ -485,10 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     # only the commands that run a model take these
     run = argparse.ArgumentParser(add_help=False, parents=[seeded])
     run.add_argument("--threads", type=int, default=1, help="dispatch thread count")
-    run.add_argument("--f32", action="store_true", help="32-bit float mode (relaxed tolerances)")
+    # tune and ablate run in their base checkpoint's dtype; the commands that draw their weights choose one
+    drawn = argparse.ArgumentParser(add_help=False, parents=[run])
+    drawn.add_argument("--f32", action="store_true", help="32-bit float mode (relaxed tolerances)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pretrain", parents=[run], help="stage A: train the dense base model")
+    p = sub.add_parser("pretrain", parents=[drawn], help="stage A: train the dense base model")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pretrain)
@@ -520,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated DxHxNxK instance shapes, e.g. 8x16x2x2,16x32x4x2")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("bench-dispatch", parents=[run],
+    p = sub.add_parser("bench-dispatch", parents=[drawn],
                        help="equivalence + throughput: batched dispatch vs per-token loop")
     p.add_argument("--tokens", type=int, default=8192)
     p.add_argument("--token-dim", type=int, default=256)

@@ -123,10 +123,11 @@ class RoutingTrace:
     """Per-token gates for one batch, stored columnarly.
 
     scores is (tokens, n_experts) softmax scores; selected is (tokens,
-    top_k) expert indices in [0, n_experts), strictly ascending along every
-    row (else ``ValueError``): a token's experts are distinct, so the
-    co-selection diagonal is zero and :meth:`RowBlocks.fold` adds each once,
-    in dispatch_loop's order. Scores are unchecked: a diverging run routes
+    top_k) expert indices of an integer dtype (a cast would truncate a
+    float one), in [0, n_experts) and strictly ascending along every row,
+    else ``ValueError``: a token's experts are distinct, so the co-selection
+    diagonal is zero and :meth:`RowBlocks.fold` adds each once, in
+    dispatch_loop's order. Scores are unchecked: a diverging run routes
     NaN scores before its divergence check. An empty batch is legal and
     keeps n_experts in the scores shape.
     """
@@ -136,7 +137,10 @@ class RoutingTrace:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores)
-        self.selected = np.asarray(self.selected, dtype=np.int64)
+        self.selected = np.asarray(self.selected)
+        if not np.issubdtype(self.selected.dtype, np.integer):
+            raise ValueError(f"RoutingTrace: selected must hold integers, got dtype {self.selected.dtype}")
+        self.selected = self.selected.astype(np.int64, copy=False)
         if self.scores.ndim != 2 or self.selected.ndim != 2 or len(self.selected) != len(self.scores):
             raise ShapeError("RoutingTrace", self.scores.shape, self.selected.shape)
         if self.selected.size and (self.selected.min() < 0 or self.selected.max() >= self.n_experts):

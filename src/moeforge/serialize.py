@@ -159,6 +159,9 @@ def _dump_moe(f, layer: MoeLayer) -> None:
 def _parse_moe(f: io.BytesIO) -> MoeLayer:
     dtype, act_code, *fields = _read_header(f, MAGIC_MOE, _MOE_HEADER)
     activation = _decode(_ACTIVATION_CODES, act_code, "activation")
+    # the writer stores the resolved top_k; MoeConfig would read a 0 as "track granularity"
+    if fields[4] == 0:
+        raise FormatError("invalid MMOE header: top_k 0 out of range [1, n_experts]")
     try:
         cfg = MoeConfig(*fields)
     except ValueError as e:

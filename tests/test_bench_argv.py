@@ -46,6 +46,7 @@ def test_tune_toy_argv_parses(tmp_path, monkeypatch):
     assert (pre.command, pre.func) == ("pretrain", cli.cmd_pretrain)
     assert (tune.command, tune.func) == ("tune", cli.cmd_tune)
     for args in (pre, tune):
-        assert (args.config, args.seed, args.threads, args.f32) == (str(workload.config), seed, 1, False)
+        assert (args.config, args.seed, args.threads) == (str(workload.config), seed, 1)
+    assert pre.f32 is False  # tune runs in its base's dtype
     assert Path(tune.base) == Path(pre.out) / "base.ckpt"
     assert Path(tune.out) != Path(pre.out)

@@ -245,21 +245,6 @@ class TestTuneCommand:
         assert f"{key} must be >= 0, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("pretrain_flags, tune_flags, base_dtype, run_dtype", [
-        ((), ("--f32",), "float64", "float32"),
-        (("--f32",), (), "float32", "float64"),
-    ])
-    def test_base_dtype_must_match_the_run(self, tmp_path, capsys, pretrain_flags, tune_flags,
-                                           base_dtype, run_dtype):
-        _, pre, config = run_pretrain(tmp_path, extra=pretrain_flags)
-        capsys.readouterr()
-        out = tmp_path / "t"
-        code = main(["tune", "--config", str(config), "--base", str(pre / "base.ckpt"),
-                     "--out", str(out), *tune_flags])
-        assert code == 2
-        assert f"checkpoint dtype {base_dtype} does not match the run's {run_dtype}" in capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, activation", [("tune", "gelu"), ("ablate", "tanh")])
     def test_base_activation_must_match_the_config(self, tmp_path, pretrained, capsys, command, activation):
         ckpt, _ = pretrained
@@ -541,8 +526,7 @@ class TestDefaultConfig:
             assert all(cfg[s][k] != v for s, keys in defaults.items() for k, v in keys.items())
             assert all(cfg["train"]["trainable"][p] != f for p, f in defaults["train"]["trainable"].items())
         args = build_parser().parse_args(["pretrain", "--config", str(path), "--out", str(tmp_path)])
-        task, train = moeforge.cli._build_task_and_train(cfg, args)
-        model = init_toy_model(cfg["task"]["token_dim"], **cfg["model"])
+        _, task, train, model, _, _ = moeforge.cli._set_up_training(args)
         moe = moeforge.cli._moe_config(cfg)
         assert (task.n_patterns, task.token_dim, task.noise_std, task.seed) == tuple(
             cfg["task"][k] for k in ("n_patterns", "token_dim", "noise_std", "seed"))
@@ -575,8 +559,9 @@ class TestDefaultConfig:
         pre = tmp_path / "pre32"
         assert main(["pretrain", "--config", str(config), "--out", str(pre), "--f32"]) == 0
         out = tmp_path / "tune32"
+        # the base's dtype is the tune's: tune takes no --f32
         assert main(["tune", "--config", str(config), "--base", str(pre / "base.ckpt"),
-                     "--out", str(out), "--f32"]) == 0
+                     "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["dtype"] == "f32"
 
 
@@ -804,7 +789,8 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, message):
     assert not (tmp_path / "o").exists()
 
 
-# --seed, --threads and --f32 go only to the commands that use them
+# --seed, --threads and --f32 go only to the commands that use them; tune and ablate
+# run in their base checkpoint's dtype
 @pytest.mark.parametrize("argv, flag", [
     (["gradcheck"], ["--threads", "4"]),
     (["gradcheck"], ["--f32"]),
@@ -813,6 +799,8 @@ def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, message):
     (["analyze", "--trace", "t", "--out", "o"], ["--seed", "1"]),
     (["analyze", "--trace", "t", "--out", "o"], ["--threads", "3"]),
     (["analyze", "--trace", "t", "--out", "o"], ["--f32"]),
+    (["tune", "--config", "c", "--base", "b", "--out", "o"], ["--f32"]),
+    (["ablate", "--config", "c", "--base", "b", "--out", "o"], ["--f32"]),
 ], ids=lambda v: "-".join(v) if v[0].startswith("--") else v[0])
 def test_unused_flags_are_rejected(capsys, argv, flag):
     build_parser().parse_args(argv)

@@ -314,6 +314,13 @@ class TestRoutingTrace:
         with pytest.raises(ShapeError):
             RoutingTrace(np.zeros((2, 3)), np.array([0, 1]))
 
+    def test_selection_must_hold_integers(self):
+        # a cast to int64 would truncate [[0.5, 1.7]] to the valid [[0, 1]]
+        with pytest.raises(ValueError, match="must hold integers, got dtype float64"):
+            _selection_trace(np.array([[0.5, 1.7]]), 4)
+        assert _selection_trace(np.array([[0, 1]], dtype=np.int32), 4).selected.dtype == np.int64
+        assert _selection_trace(np.zeros((0, 2), dtype=np.int64), 4).n_tokens == 0
+
     @pytest.mark.parametrize("row", [[3, 3], [2, 1]])
     def test_rows_must_ascend_strictly(self, row):
         # a repeated expert would be added once, not twice, and count as its
