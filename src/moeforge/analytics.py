@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .moe import RoutingTrace
-from .numkernel import ShapeError
+from .numkernel import ShapeError, check_size
 
 
 @dataclass
@@ -105,9 +105,7 @@ def search_space_size(n: int, top_k: int, layers: int) -> int:
     """Number of distinct activation patterns: C(n, top_k) ** layers, exact."""
     if n < 1 or top_k < 1 or top_k > n:
         raise ValueError(f"search_space_size: need 1 <= top_k <= n, got top_k={top_k}, n={n}")
-    if layers < 1:
-        raise ValueError(f"search_space_size: layers must be >= 1, got {layers}")
-    return math.comb(n, top_k) ** layers
+    return math.comb(n, top_k) ** check_size("search_space_size: layers", layers)
 
 
 def write_matrix_csv(path, matrix: CoSelectionMatrix) -> None:

@@ -60,7 +60,7 @@ from .moe import (
     load_balance_loss,
     split_ffn,
 )
-from .numkernel import KERNEL, STREAM_BENCH, ShapeError, check_seed, make_rng
+from .numkernel import KERNEL, STREAM_BENCH, ShapeError, check_seed, check_size, make_rng
 from .serialize import (
     FormatError,
     load_toy_model,
@@ -75,10 +75,11 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration; message names the offending path."""
 
 
-# Each section's keys are the keyword arguments of the constructor it feeds:
-# make_task, init_toy_model, MoeConfig and TrainConfig; train.trainable's
-# booleans are merged key by key. The moe and train defaults are the
-# dataclasses' own. The section seeds are the CLI's, one per random stream.
+# Each section's keys are the keyword arguments of the constructor it feeds,
+# which checks their ranges: make_task, init_toy_model, MoeConfig and
+# TrainConfig. train.trainable's booleans are merged key by key. The moe and
+# train defaults are the dataclasses' own; the section seeds, one per random
+# stream, are the CLI's.
 _NUMBER = (int, float)
 _SCHEMA = {
     "task": {
@@ -112,10 +113,6 @@ _SCHEMA = {
         "trainable": (dict, TrainConfig().trainable),
     },
 }
-# Keys that size the task, the model or a batch: a value below 1 would reach
-# them as an empty or negative shape.
-_DIMENSIONS = {("task", "token_dim"), ("task", "n_patterns"), ("model", "hidden_dim"),
-               ("train", "eval_tokens"), ("train", "probe_tokens")}
 
 
 def default_config() -> dict:
@@ -158,8 +155,6 @@ def load_config(path) -> dict:
             # json reads NaN, Infinity and overflowing literals such as 1e400 as non-finite floats
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{path}: '{section}.{key}' must be finite, got {value}")
-            if (section, key) in _DIMENSIONS and value < 1:
-                raise ConfigError(f"{path}: '{section}.{key}' must be >= 1, got {value}")
             cfg[section][key] = value
     return cfg
 
@@ -170,12 +165,6 @@ def _seed(args, absent=None):
         return absent
     check_seed("--seed", args.seed)
     return args.seed
-
-
-def _at_least_one(flag: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{flag} must be >= 1, got {value}")
-    return value
 
 
 def _from_section(path, section: str, make, *args, **kwargs):
@@ -277,7 +266,7 @@ def _set_up_training(args, base_path=None):
     dtype = (np.float32 if args.f32 else np.float64) if base is None else base.block.w1.dtype
     task = _from_section(args.config, "task", make_task, **cfg["task"], dtype=dtype)
     train_cfg = _from_section(args.config, "train", TrainConfig, **cfg["train"],
-                              threads=_at_least_one("--threads", args.threads))
+                              threads=check_size("--threads", args.threads))
     if base is None:
         model, moe_cfg = _from_section(args.config, "model", init_toy_model, cfg["task"]["token_dim"],
                                        **cfg["model"], dtype=dtype), None
@@ -380,7 +369,7 @@ def _parse_sizes(sizes_arg: str):
 def cmd_gradcheck(args) -> int:
     if not np.isfinite(args.alpha):
         raise ConfigError(f"--alpha must be finite, got {args.alpha}")
-    n_instances = None if args.instances is None else _at_least_one("--instances", args.instances)
+    n_instances = None if args.instances is None else check_size("--instances", args.instances)
     dims = None if args.sizes is None else _parse_sizes(args.sizes)
     report = run_gradcheck(seed=_seed(args, 0), n_instances=n_instances, alpha=args.alpha, dims=dims)
     for group, err in sorted(report["groups"].items()):
@@ -397,11 +386,11 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench_dispatch(args) -> int:
-    threads = _at_least_one("--threads", args.threads)
-    n = _at_least_one("--tokens", args.tokens)
+    threads = check_size("--threads", args.threads)
+    n = check_size("--tokens", args.tokens)
     for flag, value in (("--token-dim", args.token_dim), ("--hidden", args.hidden),
                         ("--replicas", args.replicas), ("--granularity", args.granularity)):
-        _at_least_one(flag, value)
+        check_size(flag, value)
     if args.hidden % args.granularity:
         raise ConfigError(f"--hidden {args.hidden} not divisible by --granularity {args.granularity}")
     if not 0 <= args.top_k <= args.replicas * args.granularity:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import ShapeError, activation_pair, ensure_finite, mm
+from .numkernel import ShapeError, activation_pair, check_size, ensure_finite, mm
 
 
 @dataclass
@@ -96,6 +96,8 @@ class FfnGrads:
 def init_ffn(token_dim: int, hidden_dim: int, rng: np.random.Generator,
              activation: str = "relu", dtype=np.float64) -> FfnParams:
     """Fan-in scaled normal weights, zero biases."""
+    check_size("init_ffn: token_dim", token_dim)
+    check_size("init_ffn: hidden_dim", hidden_dim)
     w1 = (rng.normal(size=(hidden_dim, token_dim)) / np.sqrt(token_dim)).astype(dtype)
     w2 = (rng.normal(size=(token_dim, hidden_dim)) / np.sqrt(hidden_dim)).astype(dtype)
     b1 = np.zeros(hidden_dim, dtype=dtype)

@@ -47,11 +47,12 @@ from .numkernel import (
     STREAM_TRAIN,
     ShapeError,
     check_seed,
+    check_size,
     make_rng,
     mm,
 )
 
-# A batch or probe loss above this aborts training as diverged.
+# A batch, probe or final eval loss above this aborts training as diverged.
 DIVERGENCE_LIMIT = 1e6
 
 
@@ -119,6 +120,8 @@ def make_task(n_patterns: int, token_dim: int, noise_std: float = 0.1,
     floor is met; maps are scaled rotations with singular values in
     [0.7, 1.5], keeping the condition number around 2.
     """
+    check_size("make_task: n_patterns", n_patterns)
+    check_size("make_task: token_dim", token_dim)
     rng = make_rng(seed, STREAM_TASK)
     min_dist = 4.0 * noise_std
     for _ in range(128):
@@ -144,9 +147,7 @@ def make_task(n_patterns: int, token_dim: int, noise_std: float = 0.1,
 
 def generate_batch(task: SyntheticTask, rng: np.random.Generator, size: int):
     """Sample (tokens, targets, labels): label uniform, token = center + noise, target = map(token)."""
-    if size < 1:
-        raise ValueError(f"generate_batch: size must be >= 1, got {size}")
-    labels = rng.integers(0, task.n_patterns, size=size)
+    labels = rng.integers(0, task.n_patterns, size=check_size("generate_batch: size", size))
     noise = rng.normal(size=(size, task.token_dim)) * task.noise_std
     dtype = task.centers.dtype
     tokens = (task.centers[labels] + noise).astype(dtype, copy=False)
@@ -180,7 +181,7 @@ class ToyModel:
 def init_toy_model(token_dim: int, hidden_dim: int, seed: int,
                    activation: str = "relu", dtype=np.float64) -> ToyModel:
     rng = make_rng(seed, STREAM_MODEL)
-    input_w = _rotation(rng, token_dim, dtype)
+    input_w = _rotation(rng, check_size("init_toy_model: token_dim", token_dim), dtype)
     input_b = np.zeros(token_dim, dtype=dtype)
     block = init_ffn(token_dim, hidden_dim, rng, activation, dtype)
     head_w = (rng.normal(size=(token_dim, token_dim)) / np.sqrt(token_dim)).astype(dtype)
@@ -214,8 +215,8 @@ class TrainConfig:
                 raise ValueError(f"TrainConfig: {name} must be >= 0, got {value}")
         if self.steps < 0:
             raise ValueError(f"TrainConfig: steps must be >= 0, got {self.steps}")
-        if self.batch < 1:
-            raise ValueError(f"TrainConfig: batch must be >= 1, got {self.batch}")
+        for name in ("batch", "eval_tokens", "probe_tokens", "threads"):
+            check_size(f"TrainConfig: {name}", getattr(self, name))
         if self.optimizer not in ("sgd", "adamw"):
             raise ValueError(f"TrainConfig: unknown optimizer {self.optimizer!r}")
         if (not isinstance(self.trainable, dict) or self.trainable.keys() != {"moe", "head", "map"}
@@ -438,7 +439,9 @@ def pretrain(task: SyntheticTask, model: ToyModel, cfg: TrainConfig) -> TrainRes
         raise ValueError("pretrain: expected a dense model")
     model = model.copy()
     curves = _train_loop(task, model, cfg)
-    return TrainResult(model, curves, evaluate(model, task, cfg.eval_tokens, cfg.threads))
+    final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
+    _check_curve_value("eval loss", final_eval.mse, cfg.steps)
+    return TrainResult(model, curves, final_eval)
 
 
 def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
@@ -463,6 +466,7 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
         )
     curves = _train_loop(task, model, cfg)
     final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
+    _check_curve_value("eval loss", final_eval.mse, cfg.steps)
     matrix = co_selection(final_eval.trace)
     nmi = pattern_specialization(final_eval.trace, final_eval.labels)
     shuffled = make_rng(cfg.seed, STREAM_SHUFFLE).permutation(final_eval.labels)
@@ -569,8 +573,7 @@ def run_gradcheck(seed: int = 0, n_instances: Optional[int] = None, alpha: float
     if dims is not None and n_instances is not None:
         raise ValueError("run_gradcheck: give dims or n_instances, not both")
     n_instances = len(dims) if dims is not None else 50 if n_instances is None else n_instances
-    if n_instances < 1:
-        raise ValueError(f"run_gradcheck: n_instances must be >= 1, got {n_instances}")
+    check_size("run_gradcheck: n_instances", n_instances)
     if grad_fn is None:
         grad_fn = _collect_grads
     rng = make_rng(seed, STREAM_TRAIN)

@@ -57,6 +57,7 @@ from .numkernel import (
     ShapeError,
     activation_pair,
     check_seed,
+    check_size,
     ensure_finite,
     make_rng,
     mm,
@@ -81,8 +82,7 @@ class MoeConfig:
         if self.top_k == 0:
             self.top_k = self.granularity
         for name in ("token_dim", "hidden_dim", "n_replicas", "granularity"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"MoeConfig: {name} must be >= 1, got {getattr(self, name)}")
+            check_size(f"MoeConfig: {name}", getattr(self, name))
         if self.hidden_dim % self.granularity != 0:
             raise ValueError(
                 f"MoeConfig: hidden_dim {self.hidden_dim} not divisible by granularity {self.granularity}"
@@ -192,8 +192,7 @@ def _split_stack(p: FfnParams, granularity: int, replicas: int) -> FfnParams:
     """
     if p.w1.ndim != 2:
         raise ShapeError("split_ffn", p.w1.shape)
-    if granularity < 1:
-        raise ValueError(f"split_ffn: granularity must be >= 1, got {granularity}")
+    check_size("split_ffn: granularity", granularity)
     if p.hidden_dim % granularity != 0:
         raise ValueError(f"split_ffn: hidden_dim {p.hidden_dim} not divisible by granularity {granularity}")
     width, dim = p.hidden_dim // granularity, p.token_dim

@@ -349,6 +349,13 @@ def check_seed(label: str, seed: int) -> None:
         raise ValueError(f"{label} must be an unsigned 64-bit integer, got {seed}")
 
 
+def check_size(label: str, value: int) -> int:
+    """``value``; a ValueError naming ``label`` if it is below 1, the least size of an array axis or a count."""
+    if value < 1:
+        raise ValueError(f"{label} must be >= 1, got {value}")
+    return value
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Seeded PCG64 generator.
 

@@ -2,9 +2,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moeforge.cli
 import moeforge.harness
@@ -60,14 +64,6 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert "task.n_patterns" in str(exc.value)
-
-    @pytest.mark.parametrize("key", ["task.n_patterns", "train.probe_tokens", "train.eval_tokens"])
-    def test_size_below_one_names_its_key(self, tmp_path, key):
-        section, name = key.split(".")
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({section: {name: 0}}))
-        with pytest.raises(ConfigError, match=f"'{key}' must be >= 1, got 0"):
-            load_config(path)
 
     def test_trainable_subkeys_checked(self, tmp_path):
         path = tmp_path / "c.json"
@@ -743,12 +739,19 @@ def test_module_entrypoint_runs():
 # A constructor's own check names the config file and the section that fed it, before any work.
 @pytest.mark.parametrize("command, section, content, message", [
     ("pretrain", "train", {"batch": 0}, "TrainConfig: batch must be >= 1, got 0"),
+    ("pretrain", "train", {"eval_tokens": 0}, "TrainConfig: eval_tokens must be >= 1, got 0"),
+    ("pretrain", "train", {"probe_tokens": 0}, "TrainConfig: probe_tokens must be >= 1, got 0"),
+    ("pretrain", "task", {"n_patterns": 0}, "make_task: n_patterns must be >= 1, got 0"),
+    ("pretrain", "task", {"token_dim": 0}, "make_task: token_dim must be >= 1, got 0"),
+    ("pretrain", "model", {"hidden_dim": 0}, "init_ffn: hidden_dim must be >= 1, got 0"),
     ("pretrain", "model", {"activation": "tanh"}, "unknown activation 'tanh'"),
     ("pretrain", "task", {"noise_std": -1}, "SyntheticTask: noise_std must be >= 0, got -1"),
     ("tune", "moe", {"granularity": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
     ("tune", "moe", {"seed": -1}, "MoeConfig: seed must be an unsigned 64-bit integer, got -1"),
+    ("tune", "moe", {"n_replicas": 0}, "MoeConfig: n_replicas must be >= 1, got 0"),
     ("tune", "train", {"seed": -1}, "TrainConfig: seed must be an unsigned 64-bit integer, got -1"),
-], ids=["train", "model", "task", "moe", "moe-seed", "train-seed"])
+], ids=["train", "train-eval_tokens", "train-probe_tokens", "task-n_patterns", "task-token_dim",
+        "model-hidden_dim", "model", "task", "moe", "moe-seed", "moe-n_replicas", "train-seed"])
 def test_constructor_error_names_file_and_section(tmp_path, capsys, command, section, content, message):
     config = write_config(tmp_path, {section: content}, name="bad.json")
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
@@ -762,6 +765,27 @@ def test_constructor_error_names_file_and_section(tmp_path, capsys, command, sec
     assert not (tmp_path / "o").exists()
 
 
+# A 0-step run takes no training step, so only its final evaluation can diverge: it gets the
+# step's check (exit 3) and writes no output. A tune base whose evaluation is not finite exits 4.
+@pytest.mark.parametrize("command, center_scale, code, message", [
+    ("pretrain", 1e5, 3, "divergence: eval loss 2.182e+09 exceeded 1e+06 at step 0\n"),
+    ("pretrain", 1e200, 3, "divergence: eval loss became non-finite at step 0\n"),
+    ("tune", 1e5, 3, "divergence: eval loss 5.76e+08 exceeded 1e+06 at step 0\n"),
+    ("tune", 1e200, 4, "identity violation: step-0 eval mse inf differs from base inf"),
+])
+def test_zero_step_run_with_a_diverged_evaluation(tmp_path, capsys, command, center_scale, code, message):
+    config = write_config(tmp_path, {"task": {"center_scale": center_scale}, "train": {"steps": 0}}, name="far.json")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "tune":
+        assert run_pretrain(tmp_path)[0] == 0
+        argv += ["--base", str(tmp_path / "run_pre" / "base.ckpt")]
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):  # the far centers overflow numpy before any check
+        assert main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert list((tmp_path / "o").iterdir()) == []
+
+
 # A bad flag value is a config error naming the flag, raised before any work.
 @pytest.mark.parametrize("argv, message", [
     (["bench-dispatch", "--tokens", "4", "--top-k", "99"], "--top-k must be in [0, 16] (0 tracks --granularity), got 99"),
@@ -771,14 +795,18 @@ def test_constructor_error_names_file_and_section(tmp_path, capsys, command, sec
     (["gradcheck", "--seed", str(2**64)], f"--seed must be an unsigned 64-bit integer, got {2**64}"),
     (["gradcheck", "--alpha", "nan"], "--alpha must be finite, got nan"),
     (["pretrain", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    (["tune", "--threads", "0"], "--threads must be >= 1, got 0"),
     (["split-inspect", "--granularity", "2", "--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
     (["split-inspect", "--granularity", "3"],
      "--granularity 3: split_ffn: hidden_dim 8 not divisible by granularity 3"),
 ], ids=["bench-top-k", "bench-hidden", "bench-seed", "gradcheck-seed", "gradcheck-seed-2^64", "gradcheck-alpha",
-        "pretrain-seed", "split-inspect-seed", "split-inspect-granularity"])
+        "pretrain-seed", "tune-threads", "split-inspect-seed", "split-inspect-granularity"])
 def test_bad_flag_value_names_the_flag(tmp_path, capsys, argv, message):
-    if argv[0] == "pretrain":
+    if argv[0] in ("pretrain", "tune"):
         argv = argv + ["--config", str(write_config(tmp_path)), "--out", str(tmp_path / "o")]
+    if argv[0] == "tune":
+        save_toy_model(tmp_path / "base.ckpt", init_toy_model(6, 12, seed=0))
+        argv = argv + ["--base", str(tmp_path / "base.ckpt")]
     if argv[0] == "split-inspect":
         save_toy_model(tmp_path / "toy.ckpt", init_toy_model(4, 8, seed=0))
         argv = argv + ["--ckpt", str(tmp_path / "toy.ckpt")]
@@ -808,3 +836,59 @@ def test_unused_flags_are_rejected(capsys, argv, flag):
         build_parser().parse_args(argv + flag)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"metrics.json holds {name}, which is not strict JSON")
+
+
+# Repeated values weight the draws toward runs that train; the numbers reach the finite extremes.
+_SIZE = st.integers(1, 4)
+_TYPED_CONFIGS = st.fixed_dictionaries({
+    "task": st.fixed_dictionaries({
+        "n_patterns": _SIZE, "token_dim": _SIZE, "seed": st.integers(0, 3),
+        "noise_std": st.sampled_from([0.1, 0.1, 0.1, 0.0, 0.5, -1.0]),
+        "center_scale": st.sampled_from([3.0, 3.0, 3.0, -3.0, 0.0, 1e5, 1e200]),
+    }),
+    "model": st.fixed_dictionaries({"hidden_dim": _SIZE, "activation": st.sampled_from(["relu", "gelu"])}),
+    "moe": st.fixed_dictionaries({"n_replicas": _SIZE, "granularity": _SIZE}),
+    "train": st.fixed_dictionaries({
+        "lr": st.sampled_from([0.05, 0.05, 0.0, 1.0, 1e300]),
+        "lr_head": st.sampled_from([None, None, 0.0, 1e300]),
+        "alpha": st.sampled_from([0.01, 0.01, 0.0, 1e300]),
+        "optimizer": st.sampled_from(["sgd", "adamw"]),
+        "steps": st.integers(0, 3), "batch": _SIZE,
+        "eval_tokens": st.integers(1, 24), "probe_tokens": st.integers(1, 8),
+    }),
+})
+_SIZE_KEYS = [("task", "n_patterns"), ("task", "token_dim"), ("model", "hidden_dim"), ("moe", "n_replicas"),
+              ("moe", "granularity"), ("train", "batch"), ("train", "eval_tokens"), ("train", "probe_tokens")]
+
+
+@st.composite
+def _typed_configs(draw):
+    """A config of the schema's types; in half the draws one size is -1 or 0."""
+    cfg = draw(_TYPED_CONFIGS)
+    if draw(st.booleans()):
+        section, key = draw(st.sampled_from(_SIZE_KEYS))
+        cfg[section][key] = draw(st.integers(-1, 0))
+    return cfg
+
+
+# Whatever a config of the schema's types holds, a run ends in a documented exit code (never 1,
+# an uncaught error, nor 6, an internal one), and a finished run's metrics are strict JSON.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the far centers
+@settings(max_examples=200, deadline=None)
+@given(cfg=_typed_configs())
+def test_any_typed_config_exits_with_a_documented_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "c.json"
+        config.write_text(json.dumps(cfg))
+        pre = main(["pretrain", "--config", str(config), "--out", str(tmp / "pre")])
+        tune = main(["tune", "--config", str(config), "--base", str(tmp / "pre" / "base.ckpt"),
+                     "--out", str(tmp / "tune")])
+        assert pre in (0, 2, 3) and tune in (0, 2, 3, 4)
+        for code, out in ((pre, "pre"), (tune, "tune")):
+            if code == 0:
+                json.loads((tmp / out / "metrics.json").read_text(), parse_constant=_reject_constant)

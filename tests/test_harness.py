@@ -20,9 +20,9 @@ from moeforge.harness import (
     pretrain,
     run_gradcheck,
 )
-from moeforge.ffn import ffn_backward_batch
+from moeforge.ffn import ffn_backward_batch, init_ffn
 from moeforge.moe import MoeConfig, balance_loss_backward, dispatch_loop, expand_supernet
-from moeforge.numkernel import make_rng, mm
+from moeforge.numkernel import ShapeError, make_rng, mm
 
 from conftest import random_ffn, random_layer
 
@@ -333,6 +333,28 @@ class TestTrainConfig:
             TrainConfig(seed=seed)
         with pytest.raises(ValueError, match=f"MoeConfig: {message}"):
             MoeConfig(token_dim=4, hidden_dim=8, seed=seed)
+
+
+# Each size is checked by the constructor it feeds, before any draw: a ValueError naming it, never a
+# ShapeError (which the CLI reports as an internal error).
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("make, label", [
+    (lambda v: make_task(v, 4), "make_task: n_patterns"),
+    (lambda v: make_task(4, v), "make_task: token_dim"),
+    (lambda v: init_ffn(v, 8, make_rng(0)), "init_ffn: token_dim"),
+    (lambda v: init_ffn(8, v, make_rng(0)), "init_ffn: hidden_dim"),
+    (lambda v: init_toy_model(v, 8, seed=0), "init_toy_model: token_dim"),
+    (lambda v: init_toy_model(4, v, seed=0), "init_ffn: hidden_dim"),
+    (lambda v: TrainConfig(batch=v), "TrainConfig: batch"),
+    (lambda v: TrainConfig(eval_tokens=v), "TrainConfig: eval_tokens"),
+    (lambda v: TrainConfig(probe_tokens=v), "TrainConfig: probe_tokens"),
+    (lambda v: TrainConfig(threads=v), "TrainConfig: threads"),
+], ids=["task-patterns", "task-dim", "ffn-dim", "ffn-hidden", "model-dim", "model-hidden",
+        "batch", "eval_tokens", "probe_tokens", "threads"])
+def test_size_below_one_is_a_value_error_naming_it(make, label, value):
+    with pytest.raises(ValueError, match=f"^{label} must be >= 1, got {value}$") as exc:
+        make(value)
+    assert not isinstance(exc.value, ShapeError)
 
 
 def _collect_grads_reference(model, tokens, targets, alpha):

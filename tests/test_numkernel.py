@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -346,3 +347,24 @@ class TestRng:
     def test_seed_range(self, bad):
         with pytest.raises(ValueError):
             make_rng(bad)
+
+
+class TestCheckSize:
+    def test_returns_a_size_of_at_least_one(self):
+        assert numkernel.check_size("n", 1) == 1
+        assert numkernel.check_size("n", 7) == 7
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_names_the_label(self, bad):
+        with pytest.raises(ValueError, match=f"^split: n must be >= 1, got {bad}$"):
+            numkernel.check_size("split: n", bad)
+
+    def test_the_rule_is_written_only_here(self):
+        # every size check calls check_size, so its message cannot fork
+        package = Path(moeforge.__file__).parent
+        tree = ast.parse((package / "numkernel.py").read_text())
+        check = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "check_size")
+        found = [(path.name, n) for path in sorted(package.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1) if "must be >= 1" in line]
+        assert found
+        assert all(name == "numkernel.py" and check.lineno <= n <= check.end_lineno for name, n in found), found
