@@ -313,7 +313,6 @@ def cmd_ablate(args) -> int:
     cfg, task, train_cfg, base, moe_cfg, out = _set_up_training(args, args.base)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)
     _write_rows_csv(out / "ablation.csv", ("combo", "mse", "base_mse", "aux_loss", "nmi"), rows)
-    write_summary_json(out / "ablation.json", {"rows": rows})
     write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base},
                    threads=train_cfg.threads, dtype=task.centers.dtype)
     for row in rows:
@@ -401,7 +400,7 @@ def cmd_bench_dispatch(args) -> int:
     rng = make_rng(seed, STREAM_BENCH)
     cfg = MoeConfig(token_dim=args.token_dim, hidden_dim=args.hidden,
                     n_replicas=args.replicas, granularity=args.granularity,
-                    top_k=args.top_k, seed=seed)
+                    top_k=args.top_k or None, seed=seed)
     base = init_ffn(args.token_dim, args.hidden, rng, dtype=dtype)
     layer = expand_supernet(base, cfg)
     # nudge the router off the grouped init so expert loads are realistic

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -48,6 +49,7 @@ from .numkernel import (
     ShapeError,
     check_seed,
     check_size,
+    ensure_finite,
     make_rng,
     mm,
 )
@@ -69,9 +71,10 @@ class SyntheticTask:
     """Clustered linear-map regression.
 
     Tokens sample N(center_label, noise_std^2); the target applies the
-    label's linear map to the token. Centers stay at least 4 * noise_std
-    apart and every map is well-conditioned, so the patterns are separable
-    and each is exactly solvable by a dedicated linear model.
+    label's linear map to the token. Centers and maps are finite, centers
+    stay at least 4 * noise_std apart (at distances their dtype can hold) and
+    every map is well-conditioned, so the patterns are separable and each
+    is exactly solvable by a dedicated linear model.
     """
 
     n_patterns: int
@@ -87,19 +90,29 @@ class SyntheticTask:
         m, d = self.n_patterns, self.token_dim
         if self.centers.shape != (m, d) or self.maps.shape != (m, d, d):
             raise ShapeError("SyntheticTask", self.centers.shape, self.maps.shape)
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:  # a NaN floor judges no pair
             raise ValueError(f"SyntheticTask: noise_std must be >= 0, got {self.noise_std}")
-        for i in range(m):
-            for j in range(i + 1, m):
-                dist = float(np.linalg.norm(self.centers[i] - self.centers[j]))
-                if dist < 4.0 * self.noise_std:
-                    raise ValueError(
-                        f"SyntheticTask: centers {i},{j} are {dist:.4g} apart, "
-                        f"need >= {4.0 * self.noise_std:.4g}"
-                    )
+        ensure_finite("SyntheticTask", self.centers, self.maps)
+        dist, (i, j), far = _closest_pair(self.centers)
+        if far:
+            raise ValueError(f"SyntheticTask: the distance of centers {far[0]},{far[1]} overflows {self.centers.dtype}")
+        if dist < 4.0 * self.noise_std:
+            raise ValueError(f"SyntheticTask: centers {i},{j} are {dist:.4g} apart, need >= {4.0 * self.noise_std:.4g}")
         conds = [float(np.linalg.cond(self.maps[i])) for i in range(m)]
         if max(conds) > 100.0:
             raise ValueError(f"SyntheticTask: map condition number {max(conds):.4g} exceeds 100")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a distance that overflows reads inf, and the caller's check speaks
+def _closest_pair(centers: np.ndarray):
+    """(distance, (i, j), far) of the first closest two centers; ``far`` is the first pair whose distance overflows."""
+    closest, pair, far = math.inf, (0, 0), None
+    for i, j in combinations(range(len(centers)), 2):
+        dist = float(np.linalg.norm(centers[i] - centers[j]))
+        far = far or ((i, j) if dist == math.inf else None)
+        if dist < closest:
+            closest, pair = dist, (i, j)
+    return closest, pair, far
 
 
 def _rotation(rng: np.random.Generator, dim: int, dtype=np.float64) -> np.ndarray:
@@ -116,27 +129,25 @@ def make_task(n_patterns: int, token_dim: int, noise_std: float = 0.1,
               seed: int = 0, center_scale: float = 3.0, dtype=np.float64) -> SyntheticTask:
     """Draw a SyntheticTask whose invariants hold by construction.
 
-    Centers are redrawn (deterministically) until the pairwise-distance
-    floor is met; maps are scaled rotations with singular values in
-    [0.7, 1.5], keeping the condition number around 2.
+    Centers are redrawn (deterministically) until their closest pair meets
+    SyntheticTask's floor; maps are scaled rotations with singular values
+    in [0.7, 1.5], keeping the condition number around 2.
     """
     check_size("make_task: n_patterns", n_patterns)
     check_size("make_task: token_dim", token_dim)
     rng = make_rng(seed, STREAM_TASK)
-    min_dist = 4.0 * noise_std
+    floor, best = 4.0 * noise_std, -math.inf
     for _ in range(128):
         centers = rng.normal(size=(n_patterns, token_dim))
         norms = np.linalg.norm(centers, axis=1, keepdims=True)
         centers = centers / norms * center_scale
-        dists = [
-            np.linalg.norm(centers[i] - centers[j])
-            for i in range(n_patterns) for j in range(i + 1, n_patterns)
-        ]
-        if not dists or min(dists) >= min_dist:
+        closest = _closest_pair(centers)[0]
+        if not closest < floor:  # SyntheticTask's own test; an overflow, read as inf, it refuses itself
             break
+        best = max(best, closest)
     else:
-        raise ValueError("make_task: could not place centers far enough apart; "
-                         "lower noise_std or raise center_scale")
+        raise ValueError(f"make_task: 128 draws never placed every two centers 4 * noise_std = {floor:.4g} apart; "
+                         f"the best draw's closest two were {best:.4g} apart")
     maps = np.stack([
         _rotation(rng, token_dim) * rng.uniform(0.7, 1.5, size=token_dim)
         for _ in range(n_patterns)
@@ -401,6 +412,7 @@ def _check_curve_value(label: str, value: float, step: int) -> None:
         raise DivergenceError(f"{label} {value:.4g} exceeded {DIVERGENCE_LIMIT:.4g} at step {step}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing loss is judged by the caller, not by numpy
 def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
              threads: int = 1) -> EvalResult:
     """Loss on the task's fixed held-out set (drawn from the eval stream of task.seed)."""
@@ -410,8 +422,9 @@ def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
     return EvalResult(_mse(y, targets), aux, trace, labels)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing loss is stopped by the checks below, not by numpy
 def _train_loop(task, model, cfg: TrainConfig):
-    """Train model in place, one curve row per step; a dense block's aux is 0.0, so its checked loss is its MSE."""
+    """(curves, final EvalResult) of training model in place; a dense block's aux is 0.0: its checked loss is its MSE."""
     rng_train = make_rng(cfg.seed, STREAM_TRAIN)
     probe_tokens, probe_targets, _ = generate_batch(
         task, make_rng(task.seed, STREAM_PROBE), cfg.probe_tokens)
@@ -420,9 +433,7 @@ def _train_loop(task, model, cfg: TrainConfig):
     best = math.inf
     for step in range(cfg.steps):
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
-        # an overflowing objective is stopped by the checks below, not reported as numpy warnings first
-        with np.errstate(over="ignore", invalid="ignore"):
-            grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
+        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
         _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha), step)
         _apply_updates(model, grads, trace, cfg, opt)
         probe = _mse(model_predict(model, probe_tokens, cfg.threads), probe_targets)
@@ -430,7 +441,9 @@ def _train_loop(task, model, cfg: TrainConfig):
         best = min(best, probe)
         curves.append({"step": step, "batch_mse": mse, "probe_mse": probe, "probe_mse_smoothed": best,
                        "batch_aux": aux})
-    return curves
+    final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
+    _check_curve_value("eval loss", final_eval.mse, cfg.steps)
+    return curves, final_eval
 
 
 def pretrain(task: SyntheticTask, model: ToyModel, cfg: TrainConfig) -> TrainResult:
@@ -438,10 +451,7 @@ def pretrain(task: SyntheticTask, model: ToyModel, cfg: TrainConfig) -> TrainRes
     if model.kind != "dense":
         raise ValueError("pretrain: expected a dense model")
     model = model.copy()
-    curves = _train_loop(task, model, cfg)
-    final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
-    _check_curve_value("eval loss", final_eval.mse, cfg.steps)
-    return TrainResult(model, curves, final_eval)
+    return TrainResult(model, *_train_loop(task, model, cfg))
 
 
 def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
@@ -464,9 +474,7 @@ def moe_tune(task: SyntheticTask, base_model: ToyModel, moe_cfg: MoeConfig,
             f"step-0 eval mse {eval0.mse!r} differs from base {base_eval.mse!r} "
             f"by {abs(eval0.mse - base_eval.mse):.3e} (tolerance {tol:.1e})"
         )
-    curves = _train_loop(task, model, cfg)
-    final_eval = evaluate(model, task, cfg.eval_tokens, cfg.threads)
-    _check_curve_value("eval loss", final_eval.mse, cfg.steps)
+    curves, final_eval = _train_loop(task, model, cfg)
     matrix = co_selection(final_eval.trace)
     nmi = pattern_specialization(final_eval.trace, final_eval.labels)
     shuffled = make_rng(cfg.seed, STREAM_SHUFFLE).permutation(final_eval.labels)
@@ -498,13 +506,8 @@ def ablate_tuning_subsets(task: SyntheticTask, base_model: ToyModel, moe_cfg: Mo
             raise ValueError(f"ablate_tuning_subsets: unknown parts {sorted(unknown)}")
         sub_cfg = replace(cfg, trainable={part: part in combo for part in cfg.trainable})
         result = moe_tune(task, base_model, moe_cfg, sub_cfg)
-        rows.append({
-            "combo": "+".join(combo) if combo else "none",
-            "mse": result.metrics["mse"],
-            "base_mse": result.metrics["base_mse"],
-            "aux_loss": result.metrics["aux_loss"],
-            "nmi": result.metrics["nmi"],
-        })
+        rows.append({"combo": "+".join(combo) if combo else "none",
+                     **{key: result.metrics[key] for key in ("mse", "base_mse", "aux_loss", "nmi")}})
     return rows
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,11 +75,11 @@ class MoeConfig:
     hidden_dim: int
     n_replicas: int = 8
     granularity: int = 2
-    top_k: int = 0  # 0 means "track granularity", the usual deployment
+    top_k: Optional[int] = None  # None tracks granularity, the usual deployment
     seed: int = 0
 
     def __post_init__(self):
-        if self.top_k == 0:
+        if self.top_k is None:
             self.top_k = self.granularity
         for name in ("token_dim", "hidden_dim", "n_replicas", "granularity"):
             check_size(f"MoeConfig: {name}", getattr(self, name))

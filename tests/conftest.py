@@ -29,7 +29,7 @@ def random_ffn(rng, token_dim, hidden_dim, activation="relu", dtype=np.float64):
 
 
 def random_layer(rng, token_dim=8, hidden_dim=16, n_replicas=3, granularity=2,
-                 top_k=0, seed=0, perturb=0.3):
+                 top_k=None, seed=0, perturb=0.3):
     """Expanded supernet, optionally knocked off its identity-preserving start."""
     base = random_ffn(rng, token_dim, hidden_dim)
     cfg = MoeConfig(token_dim=token_dim, hidden_dim=hidden_dim, n_replicas=n_replicas,

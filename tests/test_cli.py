@@ -311,6 +311,7 @@ class TestAblateCommand:
         lines = (out / "ablation.csv").read_text().strip().splitlines()
         assert lines[0] == "combo,mse,base_mse,aux_loss,nmi"
         assert len(lines) == 5
+        assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "manifest.json"]
         assert [l.split(",")[0] for l in lines[1:]] == ["moe", "moe+head", "moe+map",
                                                         "moe+head+map"]
 
@@ -711,12 +712,13 @@ def test_failed_output_write_leaves_no_manifest(tmp_path, capsys, monkeypatch, c
         assert main(["tune", "--config", str(config), "--base", base, "--out", str(tmp_path / "t")]) == 0
     real = moeforge.cli.write_summary_json
 
-    def failing(path, obj):  # every run writes one JSON output besides its manifest
+    def failing(path, *content):  # every run writes a JSON or CSV output besides its manifest
         if path.name != "manifest.json":
             raise OSError(28, "No space left on device", str(path))
-        real(path, obj)
+        real(path, *content)
 
     monkeypatch.setattr(moeforge.cli, "write_summary_json", failing)
+    monkeypatch.setattr(moeforge.cli, "_write_rows_csv", failing)
     argv = {
         "pretrain": ["pretrain", "--config", str(config), "--out", out],
         "tune": ["tune", "--config", str(config), "--base", base, "--out", out],
@@ -746,12 +748,16 @@ def test_module_entrypoint_runs():
     ("pretrain", "model", {"hidden_dim": 0}, "init_ffn: hidden_dim must be >= 1, got 0"),
     ("pretrain", "model", {"activation": "tanh"}, "unknown activation 'tanh'"),
     ("pretrain", "task", {"noise_std": -1}, "SyntheticTask: noise_std must be >= 0, got -1"),
+    # at token_dim 1 every center is +-center_scale, so two of three coincide whatever the scale
+    ("pretrain", "task", {"token_dim": 1, "center_scale": 1e6},
+     "make_task: 128 draws never placed every two centers 4 * noise_std = 0.4 apart; "
+     "the best draw's closest two were 0 apart\n"),
     ("tune", "moe", {"granularity": 5}, "MoeConfig: hidden_dim 12 not divisible by granularity 5"),
     ("tune", "moe", {"seed": -1}, "MoeConfig: seed must be an unsigned 64-bit integer, got -1"),
     ("tune", "moe", {"n_replicas": 0}, "MoeConfig: n_replicas must be >= 1, got 0"),
     ("tune", "train", {"seed": -1}, "TrainConfig: seed must be an unsigned 64-bit integer, got -1"),
 ], ids=["train", "train-eval_tokens", "train-probe_tokens", "task-n_patterns", "task-token_dim",
-        "model-hidden_dim", "model", "task", "moe", "moe-seed", "moe-n_replicas", "train-seed"])
+        "model-hidden_dim", "model", "task", "task-placement", "moe", "moe-seed", "moe-n_replicas", "train-seed"])
 def test_constructor_error_names_file_and_section(tmp_path, capsys, command, section, content, message):
     config = write_config(tmp_path, {section: content}, name="bad.json")
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
@@ -766,12 +772,17 @@ def test_constructor_error_names_file_and_section(tmp_path, capsys, command, sec
 
 
 # A 0-step run takes no training step, so only its final evaluation can diverge: it gets the
-# step's check (exit 3) and writes no output. A tune base whose evaluation is not finite exits 4.
+# step's check (exit 3) and writes no output. Far apart, the centers of the default patterns
+# have a distance that overflows float64, which the task rejects before --out exists (exit 2).
+_FAR_TASK = "config error: {config}: section 'task': SyntheticTask: the distance of centers 0,1 overflows float64\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, center_scale, code, message", [
     ("pretrain", 1e5, 3, "divergence: eval loss 2.182e+09 exceeded 1e+06 at step 0\n"),
-    ("pretrain", 1e200, 3, "divergence: eval loss became non-finite at step 0\n"),
+    ("pretrain", 1e200, 2, _FAR_TASK),
     ("tune", 1e5, 3, "divergence: eval loss 5.76e+08 exceeded 1e+06 at step 0\n"),
-    ("tune", 1e200, 4, "identity violation: step-0 eval mse inf differs from base inf"),
+    ("tune", 1e200, 2, _FAR_TASK),
 ])
 def test_zero_step_run_with_a_diverged_evaluation(tmp_path, capsys, command, center_scale, code, message):
     config = write_config(tmp_path, {"task": {"center_scale": center_scale}, "train": {"steps": 0}}, name="far.json")
@@ -780,9 +791,31 @@ def test_zero_step_run_with_a_diverged_evaluation(tmp_path, capsys, command, cen
         assert run_pretrain(tmp_path)[0] == 0
         argv += ["--base", str(tmp_path / "run_pre" / "base.ckpt")]
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):  # the far centers overflow numpy before any check
-        assert main(argv) == code
-    assert capsys.readouterr().err.startswith(message)
+    assert main(argv) == code
+    assert capsys.readouterr().err == message.format(config=config)
+    assert not (tmp_path / "o").exists() if code == 2 else list((tmp_path / "o").iterdir()) == []
+
+
+# One pattern has no pair of centers, so at center_scale 1e200 only the loss overflows: a 0-step
+# pretrain's final evaluation is non-finite (exit 3), and so is a tune's base evaluation (exit 4).
+# Each run prints its verdict line alone, no numpy warning before it.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+@pytest.mark.parametrize("command, code, message", [
+    ("pretrain", 3, "divergence: eval loss became non-finite at step 0\n"),
+    ("tune", 4, "identity violation: step-0 eval mse inf differs from base inf by nan (tolerance 1.0e-09)\n"),
+])
+def test_zero_step_run_of_one_far_pattern(tmp_path, capsys, command, code, message, activation):
+    model = {"activation": activation}
+    config = write_config(tmp_path, {"task": {"n_patterns": 1, "center_scale": 1e200}, "model": model,
+                                     "train": {"steps": 0}}, name="far.json")
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "tune":
+        assert run_pretrain(tmp_path, config=write_config(tmp_path, {"model": model}))[0] == 0
+        argv += ["--base", str(tmp_path / "run_pre" / "base.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == message
     assert list((tmp_path / "o").iterdir()) == []
 
 
@@ -877,7 +910,7 @@ def _typed_configs(draw):
 
 # Whatever a config of the schema's types holds, a run ends in a documented exit code (never 1,
 # an uncaught error, nor 6, an internal one), and a finished run's metrics are strict JSON.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the far centers
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(cfg=_typed_configs())
 def test_any_typed_config_exits_with_a_documented_code(cfg):

@@ -60,6 +60,45 @@ class TestTask:
         with pytest.raises(ValueError):
             SyntheticTask(2, 3, centers, maps, noise_std=0.5, seed=0)
 
+    # the floor cannot judge a non-finite center, map or noise_std
+    @pytest.mark.parametrize("centers, maps, noise_std, message", [
+        ([[np.nan, 0.0], [1.0, 0.0]], np.stack([np.eye(2)] * 2), 0.1, "non-finite values encountered"),
+        ([[0.0, 0.0], [1.0, 0.0]], np.stack([np.eye(2), np.full((2, 2), np.inf)]), 0.1, "non-finite values encountered"),
+        ([[0.0, 0.0], [1.0, 0.0]], np.stack([np.eye(2)] * 2), np.nan, "noise_std must be >= 0, got nan"),
+    ], ids=["nan-center", "inf-map", "nan-noise_std"])
+    def test_construction_rejects_non_finite_inputs(self, centers, maps, noise_std, message):
+        with pytest.raises(ValueError, match=f"^SyntheticTask: {message}$"):
+            SyntheticTask(2, 2, np.array(centers), maps, noise_std=noise_std, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_construction_rejects_an_overflowing_distance(self):
+        # the closest pair is 1 apart; the pair 0,2 is 1e200 apart, past float64 once squared
+        centers = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]])
+        with pytest.raises(ValueError, match="^SyntheticTask: the distance of centers 0,2 overflows float64$"):
+            SyntheticTask(3, 2, centers, np.stack([np.eye(2)] * 3), noise_std=0.1, seed=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_make_task_rejects_centers_it_cannot_judge(self):
+        with pytest.raises(ValueError, match="^SyntheticTask: the distance of centers 0,1 overflows float64$"):
+            make_task(4, 8, center_scale=1e200)
+        # the rule judges the task's own centers: float32 ones overflow far sooner
+        with pytest.raises(ValueError, match="^SyntheticTask: the distance of centers 0,1 overflows float32$"):
+            make_task(4, 8, center_scale=1e20, dtype=np.float32)
+        with pytest.raises(ValueError, match="^SyntheticTask: non-finite values encountered$"):
+            make_task(1, 2, center_scale=math.inf)
+
+    def test_make_task_placement_failure_names_floor_and_closest_pair(self):
+        # at token_dim 1 every center is +-center_scale, so of three centers two coincide whatever the scale
+        with pytest.raises(ValueError) as info:
+            make_task(3, 1, center_scale=1e6)
+        assert str(info.value) == ("make_task: 128 draws never placed every two centers 4 * noise_std = 0.4 apart; "
+                                   "the best draw's closest two were 0 apart")
+
+    def test_make_task_accepts_a_pair_exactly_at_the_floor(self):
+        # two centers at +-1 on one axis are 2 apart: noise_std 0.5 puts the floor there
+        task = make_task(2, 1, noise_std=0.5, center_scale=1.0, seed=0)
+        assert abs(task.centers[0, 0] - task.centers[1, 0]) == 2.0
+
     def test_deterministic(self):
         a = make_task(4, 8, seed=7)
         b = make_task(4, 8, seed=7)
@@ -394,7 +433,8 @@ def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, thr
     token_dim, hidden_dim, n_replicas, granularity = dims
     rng = make_rng(31)
     base = init_toy_model(token_dim, hidden_dim, seed=31)
-    layer, _, cfg = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k)
+    # top_k 0 stands for the default, None: top_k tracks granularity
+    layer, _, cfg = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k or None)
     model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
     tokens = rng.normal(size=(n_tokens, token_dim))
     targets = rng.normal(size=(n_tokens, token_dim))

@@ -42,6 +42,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             MoeConfig(token_dim=0, hidden_dim=8)
 
+    def test_top_k_zero_is_out_of_range(self):
+        # only None (the default) tracks granularity
+        assert MoeConfig(token_dim=4, hidden_dim=8, granularity=4, top_k=None).top_k == 4
+        with pytest.raises(ValueError, match=r"^MoeConfig: top_k 0 out of range \[1, 16\]$"):
+            MoeConfig(token_dim=4, hidden_dim=8, top_k=0)
+
 
 class TestSplitFfn:
     def test_single_slice_is_identity(self, rng):

@@ -234,8 +234,7 @@ def test_nested_moe_invalid_config_rejected(tmp_path):
 
 
 def test_nested_moe_top_k_zero_rejected(tmp_path):
-    # the writer stores the resolved top_k; a 0 would load as top_k == granularity
-    # and save back to other bytes
+    # the writer stores the resolved top_k, and MoeConfig takes no top_k of 0
     dense = init_toy_model(6, 12, seed=4)
     layer = expand_supernet(dense.block, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2, granularity=2))
     raw = bytearray(_toy_bytes(tmp_path, ToyModel(dense.input_w, dense.input_b, layer,
@@ -246,7 +245,7 @@ def test_nested_moe_top_k_zero_rejected(tmp_path):
     raw[top_k_at:top_k_at + 4] = struct.pack("<I", 0)
     path = tmp_path / "toy.ckpt"
     path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match=r"invalid MMOE header: top_k 0"):
+    with pytest.raises(FormatError, match=r"invalid MMOE header: MoeConfig: top_k 0 out of range \[1, 4\]"):
         load_toy_model(path)
 
 
