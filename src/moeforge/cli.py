@@ -1,14 +1,18 @@
 """Command-line surface.
 
 Subcommands: pretrain, tune, ablate, analyze, gradcheck, bench-dispatch,
-split-inspect. Every run writes a manifest.json holding the resolved config
+split-inspect. pretrain, tune, ablate and analyze write through one
+:class:`RunDir`: every output appears whole under its final name or not at
+all. Each run's last write is a manifest.json holding the resolved config
 (its section seeds are the ones used), --seed as given (null without it),
-the thread count and dtype (analyze has neither), input hashes, and the
-matrix kernel with the numpy and BLAS versions under it, so a run is
-reproducible from its manifest alone; it is written last, so a run
-directory without one is incomplete. tune and ablate run in their base
-checkpoint's dtype; pretrain and bench-dispatch take --f32. Commands never
-mutate their input files.
+the thread count and dtype (analyze has neither), the sha256 of each input,
+taken when the run reads its inputs, and of each output (``outputs``), and
+the matrix kernel with the numpy and BLAS versions under it, so a run is
+reproducible from its manifest alone. A run directory without one is
+incomplete: the run failed or was killed part-way, and a killed run may
+leave a temporary file. tune and ablate run in their base checkpoint's dtype;
+pretrain and bench-dispatch take --f32. Commands never mutate their input
+files.
 
 Exit codes are stable API: 0 ok, 2 invalid config or unreadable input,
 3 divergence, 4 step-0 identity violation, 5 gradcheck failure, 6 internal
@@ -24,6 +28,7 @@ import copy
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -177,35 +182,61 @@ def _from_section(path, section: str, make, *args, **kwargs):
         raise ConfigError(f"{path}: section '{section}': {e}") from None
 
 
-def write_manifest(out_dir: Path, command: str, args, resolved_config=None,
-                   extra_inputs: dict | None = None, threads: int | None = None, dtype=None) -> None:
-    """manifest.json of a run; ``threads`` and ``dtype`` are those it ran with, None for analyze."""
-    inputs = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        inputs["config"] = {"path": str(config_path),
-                            "sha256": hashlib.sha256(Path(config_path).read_bytes()).hexdigest()}
-    for name, path in (extra_inputs or {}).items():
-        inputs[name] = {"path": str(path),
-                        "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "inputs": inputs,
-        "resolved_config": resolved_config,
-        "seed": getattr(args, "seed", None),
-        # analyze runs float64, on no pool
-        **({"threads": threads, "dtype": "f32" if dtype == np.float32 else "f64"}
-           if threads is not None else {}),
-        # the bytes of every output depend on the matrix kernel and the BLAS under it
-        "kernel": KERNEL,
-        "numpy": np.__version__,
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
-        "out_dir": str(out_dir),
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    write_summary_json(out_dir / "manifest.json", manifest)
+def _sha256(path) -> str:
+    """Hex sha256 of a file, read in 1 MiB chunks (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while chunk := f.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class RunDir:
+    """The --out directory of a run, which it creates: each output lands whole, manifest.json last.
+
+    Created once every input has passed its checks, so a rejected run leaves
+    no directory. ``inputs`` maps each input's role to its path (None: not
+    given), hashed here; ``threads`` and ``dtype`` are those the run uses,
+    None for analyze.
+    """
+
+    def __init__(self, args, inputs: dict, resolved_config=None, threads: int | None = None, dtype=None):
+        self.path = Path(args.out)
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+        self.manifest = {
+            "command": args.command,
+            "package_version": __version__,
+            "inputs": {role: {"path": str(path), "sha256": _sha256(path)} for role, path in inputs.items() if path},
+            "resolved_config": resolved_config,
+            "seed": getattr(args, "seed", None),
+            # analyze runs float64, on no pool
+            **({"threads": threads, "dtype": "f32" if dtype == np.float32 else "f64"}
+               if threads is not None else {}),
+            # the bytes of every output depend on the matrix kernel and the BLAS under it
+            "kernel": KERNEL,
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "out_dir": str(self.path),
+        }
+        self.outputs = {}  # file name -> sha256
+        self.path.mkdir(parents=True, exist_ok=True)
+
+    def write(self, name: str, writer, *content) -> None:
+        """``writer(path, *content)`` on a temporary file, moved onto ``name`` once it returns; removed if it raises."""
+        part = self.path / f"{name}.part"
+        try:
+            writer(part, *content)
+            os.replace(part, self.path / name)
+        except BaseException:
+            part.unlink(missing_ok=True)
+            raise
+        self.outputs[name] = _sha256(self.path / name)
+
+    def write_manifest(self) -> None:
+        """manifest.json, with the digest of every output written so far: the run's last write."""
+        self.write("manifest.json", write_summary_json, {
+            **self.manifest, "outputs": dict(self.outputs),
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())})
 
 
 # One row per training step; a tune's rows add the balance loss, batch_aux.
@@ -250,12 +281,11 @@ def _moe_config(cfg: dict) -> MoeConfig:
 
 
 def _set_up_training(args, base_path=None):
-    """``(cfg, task, train_cfg, model, moe_cfg, out)`` of a pretrain, or of a tune or ablate from ``base_path``.
+    """``(task, train_cfg, model, moe_cfg, run)`` of a pretrain, or of a tune or ablate from ``base_path``.
 
     --seed replaces every section seed. A pretrain draws a fresh model in
     --f32's dtype and has no moe_cfg; a tune or ablate trains the base
-    checkpoint, in its dtype. --out is created only after every input has
-    passed its checks, so a rejected run leaves no directory.
+    checkpoint, in its dtype. ``run`` is the :class:`RunDir` of --out.
     """
     cfg = load_config(args.config)
     seed = _seed(args)
@@ -272,49 +302,47 @@ def _set_up_training(args, base_path=None):
                                        **cfg["model"], dtype=dtype), None
     else:
         model, moe_cfg = base, _from_section(args.config, "moe", _moe_config, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return cfg, task, train_cfg, model, moe_cfg, out
+    run = RunDir(args, {"config": args.config, "base": base_path}, cfg, train_cfg.threads, dtype)
+    return task, train_cfg, model, moe_cfg, run
 
 
 def cmd_pretrain(args) -> int:
-    cfg, task, train_cfg, model, _, out = _set_up_training(args)
+    task, train_cfg, model, _, run = _set_up_training(args)
     result = pretrain(task, model, train_cfg)
-    save_toy_model(out / "base.ckpt", result.model)
-    _write_rows_csv(out / "curves.csv", _CURVE_COLUMNS, result.curves)
-    write_summary_json(out / "metrics.json", {
+    run.write("base.ckpt", save_toy_model, result.model)
+    run.write("curves.csv", _write_rows_csv, _CURVE_COLUMNS, result.curves)
+    run.write("metrics.json", write_summary_json, {
         "mse": result.final_eval.mse,
         "steps": train_cfg.steps,
         "stage": "pretrain",
     })
-    write_manifest(out, "pretrain", args, cfg, threads=train_cfg.threads, dtype=task.centers.dtype)
-    print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {out}")
+    run.write_manifest()
+    print(f"pretrain done: eval mse {result.final_eval.mse:.6g} -> {run.path}")
     return 0
 
 
 def cmd_tune(args) -> int:
-    cfg, task, train_cfg, base, moe_cfg, out = _set_up_training(args, args.base)
+    task, train_cfg, base, moe_cfg, run = _set_up_training(args, args.base)
     result = moe_tune(task, base, moe_cfg, train_cfg)
-    save_toy_model(out / "tuned.ckpt", result.model)
-    _write_rows_csv(out / "curves.csv", _CURVE_COLUMNS + ("batch_aux",), result.curves)
-    write_summary_json(out / "metrics.json", result.metrics)
-    write_trace_jsonl(out / "trace.jsonl", result.final_eval.trace)
-    write_labels_csv(out / "labels.csv", result.final_eval.labels)
-    write_matrix_csv(out / "coselection.csv", result.coselection)
-    write_loading_csv(out / "loading.csv", assignment_fractions(result.final_eval.trace))
-    write_manifest(out, "tune", args, cfg, extra_inputs={"base": args.base},
-                   threads=train_cfg.threads, dtype=task.centers.dtype)
+    trace = result.final_eval.trace
+    run.write("tuned.ckpt", save_toy_model, result.model)
+    run.write("curves.csv", _write_rows_csv, _CURVE_COLUMNS + ("batch_aux",), result.curves)
+    run.write("metrics.json", write_summary_json, result.metrics)
+    run.write("trace.jsonl", write_trace_jsonl, trace)
+    run.write("labels.csv", write_labels_csv, result.final_eval.labels)
+    run.write("coselection.csv", write_matrix_csv, result.coselection)
+    run.write("loading.csv", write_loading_csv, assignment_fractions(trace))
+    run.write_manifest()
     print(f"tune done: base mse {result.metrics['base_mse']:.6g} -> "
-          f"tuned mse {result.metrics['mse']:.6g}, nmi {result.metrics['nmi']:.3f} -> {out}")
+          f"tuned mse {result.metrics['mse']:.6g}, nmi {result.metrics['nmi']:.3f} -> {run.path}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    cfg, task, train_cfg, base, moe_cfg, out = _set_up_training(args, args.base)
+    task, train_cfg, base, moe_cfg, run = _set_up_training(args, args.base)
     rows = ablate_tuning_subsets(task, base, moe_cfg, train_cfg)
-    _write_rows_csv(out / "ablation.csv", ("combo", "mse", "base_mse", "aux_loss", "nmi"), rows)
-    write_manifest(out, "ablate", args, cfg, extra_inputs={"base": args.base},
-                   threads=train_cfg.threads, dtype=task.centers.dtype)
+    run.write("ablation.csv", _write_rows_csv, ("combo", "mse", "base_mse", "aux_loss", "nmi"), rows)
+    run.write_manifest()
     for row in rows:
         print(f"{row['combo']:>14}: mse {row['mse']:.6g}")
     return 0
@@ -322,27 +350,20 @@ def cmd_ablate(args) -> int:
 
 def cmd_analyze(args) -> int:
     trace = read_trace_jsonl(args.trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    loading = assignment_fractions(trace)
-    nmi = None
-    if args.labels:
-        nmi = pattern_specialization(trace, read_labels_csv(args.labels, trace.n_tokens))
-    matrix = co_selection(trace, normalize=args.normalize)
-    coselection_path = out / "coselection.csv"
-    write_matrix_csv(coselection_path, matrix)
-    write_loading_csv(out / "loading.csv", loading)
-    write_summary_json(out / "summary.json", {
-        "loss": load_balance_loss(trace),
+    labels = read_labels_csv(args.labels, trace.n_tokens) if args.labels else None
+    run = RunDir(args, {"trace": args.trace, "labels": args.labels})
+    loss, loading = load_balance_loss(trace), assignment_fractions(trace)
+    nmi = None if labels is None else pattern_specialization(trace, labels)
+    run.write("coselection.csv", write_matrix_csv, co_selection(trace, normalize=args.normalize))
+    run.write("loading.csv", write_loading_csv, loading)
+    run.write("summary.json", write_summary_json, {
+        "loss": loss,
         "nmi": nmi,
         "loading": [float(x) for x in loading],
-        "coselection_path": coselection_path.name,
+        "coselection_path": "coselection.csv",
     })
-    inputs = {"trace": args.trace}
-    if args.labels:
-        inputs["labels"] = args.labels
-    write_manifest(out, "analyze", args, None, extra_inputs=inputs)
-    print(f"analyze done: balance loss {load_balance_loss(trace):.6g} -> {out}")
+    run.write_manifest()
+    print(f"analyze done: balance loss {loss:.6g} -> {run.path}")
     return 0
 
 

@@ -263,6 +263,9 @@ def test_criterion_10_cli_determinism(tmp_path):
     files = ("metrics.json", "curves.csv", "trace.jsonl", "loading.csv", "coselection.csv")
     identical = all((outputs[0] / f).read_bytes() == (other / f).read_bytes()
                     for other in outputs[1:] for f in files)
+    # every output's digest, the checkpoint and labels included
+    digests = [json.loads((out / "manifest.json").read_text())["outputs"] for out in outputs]
+    identical = identical and digests[0] == digests[1] == digests[2]
     report(10, identical,
            "determinism: rerun with identical manifest inputs reproduces byte-identical "
-           "metrics/curves/trace across --threads {1, 4}")
+           "metrics/curves/trace and manifest output digests across --threads {1, 4}")

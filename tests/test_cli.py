@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -523,7 +525,7 @@ class TestDefaultConfig:
             assert all(cfg[s][k] != v for s, keys in defaults.items() for k, v in keys.items())
             assert all(cfg["train"]["trainable"][p] != f for p, f in defaults["train"]["trainable"].items())
         args = build_parser().parse_args(["pretrain", "--config", str(path), "--out", str(tmp_path)])
-        _, task, train, model, _, _ = moeforge.cli._set_up_training(args)
+        task, train, model, _, _ = moeforge.cli._set_up_training(args)
         moe = moeforge.cli._moe_config(cfg)
         assert (task.n_patterns, task.token_dim, task.noise_std, task.seed) == tuple(
             cfg["task"][k] for k in ("n_patterns", "token_dim", "noise_std", "seed"))
@@ -702,33 +704,85 @@ def test_unusable_path_exits_2_naming_it(tmp_path, capsys, slot):
     assert err.startswith("input error: ") and str(taken if slot == "--out" else directory) in err
 
 
-# The manifest is written last: a run that fails part-way leaves no manifest.json.
+# An output appears whole under its final name or not at all, and the manifest is written last: a writer
+# that fails part-way leaves neither its partial file nor a temporary one, and no manifest.json.
 @pytest.mark.parametrize("command", ["pretrain", "tune", "ablate", "analyze"])
 def test_failed_output_write_leaves_no_manifest(tmp_path, capsys, monkeypatch, command):
     code, pre_dir, config = run_pretrain(tmp_path, config=write_config(tmp_path, {"train": {"steps": 5}}))
     assert code == 0
-    base, out = str(pre_dir / "base.ckpt"), str(tmp_path / "o")
+    base, out = str(pre_dir / "base.ckpt"), tmp_path / "o"
     if command == "analyze":
         assert main(["tune", "--config", str(config), "--base", base, "--out", str(tmp_path / "t")]) == 0
     real = moeforge.cli.write_summary_json
 
     def failing(path, *content):  # every run writes a JSON or CSV output besides its manifest
-        if path.name != "manifest.json":
-            raise OSError(28, "No space left on device", str(path))
-        real(path, *content)
+        if path.name.startswith("manifest.json"):
+            return real(path, *content)
+        path.write_text("half a li")
+        raise OSError(28, "No space left on device", str(path))
 
     monkeypatch.setattr(moeforge.cli, "write_summary_json", failing)
     monkeypatch.setattr(moeforge.cli, "_write_rows_csv", failing)
-    argv = {
-        "pretrain": ["pretrain", "--config", str(config), "--out", out],
-        "tune": ["tune", "--config", str(config), "--base", base, "--out", out],
-        "ablate": ["ablate", "--config", str(config), "--base", base, "--out", out],
-        "analyze": ["analyze", "--trace", str(tmp_path / "t" / "trace.jsonl"), "--out", out],
+    # the command, the output that fails, and those written whole before it
+    argv, failed, written = {
+        "pretrain": (["pretrain", "--config", str(config)], "curves.csv", ["base.ckpt"]),
+        "tune": (["tune", "--config", str(config), "--base", base], "curves.csv", ["tuned.ckpt"]),
+        "ablate": (["ablate", "--config", str(config), "--base", base], "ablation.csv", []),
+        "analyze": (["analyze", "--trace", str(tmp_path / "t" / "trace.jsonl")], "summary.json",
+                    ["coselection.csv", "loading.csv"]),
     }[command]
     capsys.readouterr()
-    assert main(argv) == 2
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
-    assert not (tmp_path / "o" / "manifest.json").exists()
+    assert not (out / failed).exists()
+    assert sorted(p.name for p in out.iterdir()) == written  # no temporary file
+    assert not (out / "manifest.json").exists()
+
+
+# A finished run directory holds its manifest and exactly the outputs that the manifest lists, each under
+# its recorded sha256; the inputs are listed by role, each under its own.
+@pytest.mark.parametrize("command", ["pretrain", "tune", "ablate", "analyze"])
+def test_manifest_lists_every_output_with_its_digest(tmp_path, command):
+    code, pre_dir, config = run_pretrain(tmp_path, config=write_config(tmp_path, {"train": {"steps": 5}}))
+    assert code == 0
+    base, tuned, out = str(pre_dir / "base.ckpt"), tmp_path / "t", tmp_path / "o"
+    argv, roles = {
+        "pretrain": (["pretrain", "--config", str(config)], {"config"}),
+        "tune": (["tune", "--config", str(config), "--base", base], {"config", "base"}),
+        "ablate": (["ablate", "--config", str(config), "--base", base], {"config", "base"}),
+        "analyze": (["analyze", "--trace", str(tuned / "trace.jsonl"), "--labels", str(tuned / "labels.csv")],
+                    {"trace", "labels"}),
+    }[command]
+    if command == "analyze":
+        assert main(["tune", "--config", str(config), "--base", base, "--out", str(tuned)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert set(manifest["inputs"]) == roles
+    for entry in manifest["inputs"].values():
+        assert hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+
+
+# np.errstate is a context variable, and dispatch_batch's pool threads run each chunk in a copy of the
+# caller's context: the evaluation's silenced overflow stays silent at every thread count, so a gelu
+# tune of one far pattern prints its verdict alone, no numpy warning before it. The default sizes
+# give the 10,000-token evaluations more than one chunk, so two threads run them on the pool.
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pool_workers_keep_the_callers_error_state(tmp_path, threads):
+    config, far = tmp_path / "config.json", tmp_path / "far.json"
+    config.write_text(json.dumps({"task": {"n_patterns": 1}, "model": {"activation": "gelu"}, "train": {"steps": 5}}))
+    far.write_text(json.dumps({"task": {"n_patterns": 1, "center_scale": 1e200}, "model": {"activation": "gelu"},
+                               "train": {"steps": 0}}))
+    assert run_pretrain(tmp_path, config=config)[0] == 0
+    proc = subprocess.run([sys.executable, "-m", "moeforge", "tune", "--config", str(far),
+                           "--base", str(tmp_path / "run_pre" / "base.ckpt"), "--out", str(tmp_path / "o"),
+                           "--threads", str(threads)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(moeforge.cli.__file__).parents[1])})
+    assert proc.returncode == 4
+    assert proc.stderr == "identity violation: step-0 eval mse inf differs from base inf by nan (tolerance 1.0e-09)\n"
 
 
 def test_module_entrypoint_runs():
