@@ -322,16 +322,19 @@ def _parameters(model: ToyModel):
     yield "input_b", "map", model.input_b
 
 
-def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alpha: float):
-    """Forward + backward over one batch.
+def _backward(model: ToyModel, fwd, tokens: np.ndarray, targets: np.ndarray, alpha: float, map_grad: bool = True):
+    """Backward over the batch ``tokens``, the first rows of ``fwd``; returns as :func:`_collect_grads`.
 
-    Returns (grads, task mse, balance loss, trace); grads maps every name of
-    _parameters to its gradient, with a zero row for each expert that got no
-    tokens. Router gradients follow the hard-gate contract: balance loss
-    only, assignment fractions frozen at their batch values. The map
-    gradient takes the balance loss's path through the router scores too.
+    ``fwd`` is :func:`_model_forward`'s (u, v, y, trace, saved) at threads
+    None of the batch, or of the batch with more rows after it (the probe):
+    every row of a forward is bitwise the row computed alone, so the batch's
+    rows are its own forward's, and the backward reads no other row. Without
+    ``map_grad`` the input map's gradient path is skipped, and grads holds
+    no ``input_w`` or ``input_b``.
     """
-    u, v, y, trace, saved = _model_forward(model, tokens, None)
+    n = len(tokens)
+    u, v, y, trace, saved = fwd
+    u, v, y = u[:n], v[:n], y[:n]
     diff = y - targets
     dy = (2.0 / diff.size) * diff
     grads = {"head_w": mm(dy.T, v), "head_b": dy.sum(axis=0)}
@@ -342,16 +345,30 @@ def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alp
         grads.update(_ffn_named("block", block_grads))
         aux = 0.0
     else:
-        layer = model.block
-        g, du = grouped_backward(layer.experts, saved, dv)
+        layer, trace = model.block, trace[:n]
+        g, du = grouped_backward(layer.experts, saved, dv, map_grad)
         grads.update(_ffn_named("experts", g))
         aux = load_balance_loss(trace)
         grads["router.w_r"], grads["router.b_r"], d_logits = balance_loss_backward(trace, u, alpha)
-        du += mm(d_logits, layer.router.w_r)
+        if map_grad:
+            du += mm(d_logits, layer.router.w_r)
 
-    grads["input_w"] = mm(du.T, tokens)
-    grads["input_b"] = du.sum(axis=0)
+    if map_grad:
+        grads["input_w"] = mm(du.T, tokens)
+        grads["input_b"] = du.sum(axis=0)
     return grads, _mse(y, targets), aux, trace
+
+
+def _collect_grads(model: ToyModel, tokens: np.ndarray, targets: np.ndarray, alpha: float):
+    """Forward + backward over one batch.
+
+    Returns (grads, task mse, balance loss, trace); grads maps every name of
+    _parameters to its gradient, with a zero row for each expert that got no
+    tokens. Router gradients follow the hard-gate contract: balance loss
+    only, assignment fractions frozen at their batch values. The map
+    gradient takes the balance loss's path through the router scores too.
+    """
+    return _backward(model, _model_forward(model, tokens, None), tokens, targets, alpha)
 
 
 class _Sgd:
@@ -374,22 +391,33 @@ class _AdamW:
         self.t: dict[str, np.ndarray] = {}
 
     def step(self, name, param, grad, lr, rows=None):
-        m = self.m.setdefault(name, np.zeros_like(param))
-        v = self.v.setdefault(name, np.zeros_like(param))
-        live = ... if rows is None else np.flatnonzero(rows)
-        t = self.t.setdefault(name, np.zeros(() if rows is None else len(param), dtype=np.int64))
+        if name not in self.t:
+            self.m[name], self.v[name] = np.zeros_like(param), np.zeros_like(param)
+            self.t[name] = np.zeros(() if rows is None else len(param), dtype=np.int64)
+        m, v, t = self.m[name], self.v[name], self.t[name]
+        # every row live: the arrays themselves; else one gather of each, and one scatter of what changed
+        live = ... if rows is None or rows.all() else np.flatnonzero(rows)
         t[live] += 1
         # Python's beta**t for each count: 1 - np.power(0.999, t) rounds some t differently
-        c1, c2 = (np.array([1 - b**s for s in np.ravel(t[live]).tolist()], param.dtype)
-                  .reshape((-1,) + (1,) * (param.ndim - 1)) for b in (self.BETA1, self.BETA2))
+        c = np.array([(1 - self.BETA1**s, 1 - self.BETA2**s) for s in np.ravel(t[live]).tolist()], param.dtype)
+        c1, c2 = (c[:, j].reshape((-1,) + (1,) * (param.ndim - 1)) for j in (0, 1))
         # in place, so the moments keep their dtype whatever the gradient's
         g, m_live, v_live = grad[live], m[live], v[live]
         m_live *= self.BETA1
-        m_live += (1 - self.BETA1) * g
+        scaled = np.multiply(g, 1 - self.BETA1)
+        m_live += scaled
         v_live *= self.BETA2
-        v_live += (1 - self.BETA2) * g * g
-        m[live], v[live] = m_live, v_live
-        param[live] -= lr * (m_live / c1 / (np.sqrt(v_live / c2) + self.EPS))
+        scaled = np.multiply(g, 1 - self.BETA2, out=scaled)
+        scaled *= g
+        v_live += scaled
+        if live is not ...:
+            m[live], v[live] = m_live, v_live
+        root = np.divide(v_live, c2)
+        np.sqrt(root, out=root)
+        root += self.EPS
+        ratio = np.divide(m_live, c1)
+        ratio /= root
+        param[live] -= lr * ratio
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -424,19 +452,34 @@ def evaluate(model: ToyModel, task: SyntheticTask, n_tokens: int = 10000,
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing loss is stopped by the checks below, not by numpy
 def _train_loop(task, model, cfg: TrainConfig):
-    """(curves, final EvalResult) of training model in place; a dense block's aux is 0.0: its checked loss is its MSE."""
+    """(curves, final EvalResult) of training model in place; a dense block's aux is 0.0: its checked loss is its MSE.
+
+    One forward per step: after step s's update, batch s+1 and the probe go
+    through the model together, batch rows first, at threads None (one
+    layout, no pool); the probe rows give step s's probe loss and the batch
+    rows are step s+1's forward. Step 0's batch and the last step's probe
+    run alone. Every row is computed as if alone, so the bits are those of
+    separate forwards, and the checks keep their order: step s's batch loss
+    before its update, its probe loss after it.
+    """
     rng_train = make_rng(cfg.seed, STREAM_TRAIN)
     probe_tokens, probe_targets, _ = generate_batch(
         task, make_rng(task.seed, STREAM_PROBE), cfg.probe_tokens)
     opt = _make_optimizer(cfg)
     curves: list[dict] = []
     best = math.inf
-    for step in range(cfg.steps):
+    if cfg.steps:
         tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
-        grads, mse, aux, trace = _collect_grads(model, tokens, targets, cfg.alpha)
+        fwd = _model_forward(model, tokens, None)
+    for step in range(cfg.steps):
+        grads, mse, aux, trace = _backward(model, fwd, tokens, targets, cfg.alpha, cfg.trainable["map"])
         _check_curve_value("batch loss", total_loss(mse, aux, cfg.alpha), step)
         _apply_updates(model, grads, trace, cfg, opt)
-        probe = _mse(model_predict(model, probe_tokens, cfg.threads), probe_targets)
+        last = step + 1 == cfg.steps
+        if not last:
+            tokens, targets, _ = generate_batch(task, rng_train, cfg.batch)
+        fwd = _model_forward(model, probe_tokens if last else np.concatenate([tokens, probe_tokens]), None)
+        probe = _mse(fwd[2][-len(probe_tokens):], probe_targets)
         _check_curve_value("probe loss", probe, step)
         best = min(best, probe)
         curves.append({"step": step, "batch_mse": mse, "probe_mse": probe, "probe_mse_smoothed": best,

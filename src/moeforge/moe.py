@@ -27,10 +27,12 @@ The pieces, in the order a layer comes to life:
   expert and selections ascend strictly along a row, so both add the
   selected experts' outputs in ascending expert order on top of a zero
   buffer, and all matrix products share the kernel's row-stable reduction
-  order. Training lays its whole batch out as one chunk
-  (:func:`dispatch_whole`), and the backward reuses that layout, padded
-  input and pre-activation (:func:`grouped_backward`), filling one gradient
-  stack with a zero row for each expert left empty.
+  order. Training lays out a step's whole forward as one chunk
+  (:func:`dispatch_whole`): its batch, with the probe of the step before
+  after it. The backward reuses that layout, padded input and
+  pre-activation for the batch's rows alone, which lead each expert's rows
+  (:func:`grouped_backward`), filling one gradient stack with a zero row
+  for each expert the batch left empty.
 * :func:`load_balance_loss` is the utilization penalty
   ``n_experts * sum_i F_i * P_i`` with F the per-expert share of
   assignments and P the mean routing score.
@@ -148,6 +150,18 @@ class RoutingTrace:
             raise ValueError(f"RoutingTrace: expert index out of range [0, {self.n_experts})")
         if not np.all(np.diff(self.selected, axis=1) > 0):
             raise ValueError("RoutingTrace: selected experts must ascend strictly along every row")
+
+    def __getitem__(self, rows: slice) -> "RoutingTrace":
+        """The trace of a run of tokens: row views of both arrays.
+
+        It is not checked again: a row slice keeps every invariant the
+        whole trace was checked for, as a stack's ``FfnParams`` view does.
+        """
+        if not isinstance(rows, slice):
+            raise TypeError(f"RoutingTrace rows are taken by slice, got {type(rows).__name__}")
+        view = object.__new__(RoutingTrace)
+        view.scores, view.selected = self.scores[rows], self.selected[rows]
+        return view
 
     @property
     def n_tokens(self) -> int:
@@ -358,12 +372,23 @@ class RowBlocks(NamedTuple):
         return per_token.take(self.row_token, axis=0)
 
     def fold(self, padded: np.ndarray, out: np.ndarray) -> None:
-        """Add each assignment's padded row into its token's row of ``out``, slot by slot.
+        """Add each assignment's padded row into its token's row of ``out``; ``padded`` is consumed.
 
-        Slots ascend with the expert index, so each row of ``out`` gets the
-        run's experts in ascending order. Take, add and store back costs
-        less than a fancy-indexed ``+=``.
+        Slot by slot, or expert by expert where the run holds fewer live
+        experts than slots (a dispatch-dense chunk holds one). Either way
+        each row of ``out`` gets the run's experts in ascending order: slots
+        ascend with the expert index, and an expert's rows hold distinct
+        tokens. Take (or an expert's slice), add and store back costs less
+        than a fancy-indexed ``+=``.
         """
+        live = np.flatnonzero(self.counts).tolist()
+        if len(live) < len(self.slots):
+            for e in live:
+                r = slice(self.starts[e], self.starts[e] + self.counts[e])
+                add, tokens = padded[r], self.row_token[r]
+                add += out[tokens]
+                out[tokens] = add
+            return
         for tokens, rows in self.slots:
             add = padded.take(rows, axis=0)
             add += out[tokens]
@@ -450,39 +475,71 @@ def _expert_products(a: np.ndarray, w: np.ndarray, b: np.ndarray, blocks: RowBlo
         out = mm_grouped(a, w.transpose(0, 2, 1), be).astype(np.result_type(a, w, b), copy=False)
         out.reshape(-1, ROW_BLOCK, p)[...] += b[be][:, None, :]
         return out
+    live = np.flatnonzero(blocks.counts).tolist()
+    if len(live) == 1:  # its blocks are all of a's rows (a dispatch-dense chunk): mm's output is the result
+        out = mm(a, w[live[0]].T).astype(np.result_type(a, w, b), copy=False)
+        out += b[live[0]]
+        return out
     out = np.empty((len(a), p), dtype=np.result_type(a, w, b))
-    for e in np.flatnonzero(blocks.counts).tolist():
+    for e in live:
         r = slice(blocks.starts[e], blocks.starts[e] + -(-blocks.counts[e] // ROW_BLOCK) * ROW_BLOCK)
         np.add(mm(a[r], w[e].T), b[e], out=out[r])
     return out
 
 
-def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.ndarray):
-    """The backward of :func:`dispatch_whole`'s expert forward, on its one-run layout of every expert.
+def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.ndarray, input_grad: bool = True):
+    """The backward of :func:`dispatch_whole`'s expert forward for its first ``len(upstream)`` tokens.
 
     Returns (the experts' stacked FfnGrads, the (tokens, dim) input
-    gradient). Row e bitwise equals ``ffn_backward_batch`` of expert e, or
-    is zero if e got no tokens, and input gradients add per expert in
-    ascending order: the row-wise products ``dz1`` and ``dx`` are grouped,
-    while the weight-gradient products, which reduce over an expert's token
-    count, run per expert on row slices of the padded buffers: padding would
-    change the length of their reduction, which a BLAS may round differently.
+    gradient, or None without ``input_grad``, which skips the ``dx``
+    product and its fold). The forward may have carried more tokens after
+    these, as a training batch carries the probe: the layout's sort is
+    stable, so each expert's rows hold these tokens first, and each weight
+    gradient reduces over exactly those rows. Row e of each gradient bitwise
+    equals ``ffn_backward_batch`` of expert e over these tokens, or is zero
+    if e got none of them, and input gradients add per expert in ascending
+    order: the row-wise products ``dz1`` and ``dx`` are grouped, while the
+    weight-gradient products, which reduce over an expert's token count, run
+    per expert on row slices of the padded buffers: padding would change the
+    length of their reduction, which a BLAS may round differently. When the
+    forward carried later tokens, the backward keeps only the blocks that
+    hold these tokens' rows, each expert's first ones; rows of later tokens
+    left in those blocks, and padding, get a zero upstream and are never read.
     """
     blocks, x, z1 = saved
+    n = len(upstream)
     act, act_grad = activation_pair(experts.activation)
-    be = blocks.block_expert
-    dy = blocks.scatter(upstream)
+    be, starts, counts = blocks.block_expert, blocks.starts, blocks.counts
+    rows = [r[:n] for _, r in blocks.slots]  # one run: each slot's rows, by token
+    if n < len(blocks.slots[0][1]):
+        # keep only the blocks that hold these tokens' rows, each expert's first ones
+        counts = np.bincount(be[np.concatenate(rows) // ROW_BLOCK], minlength=len(counts))
+        held = -(-counts // ROW_BLOCK)
+        first = np.cumsum(held) - held
+        keep = np.repeat(starts // ROW_BLOCK - first, held) + np.arange(first[-1] + held[-1])
+        rows = [r + (first * ROW_BLOCK - starts)[be[r // ROW_BLOCK]] for r in rows]
+        be, starts = be[keep], first * ROW_BLOCK
+        x, z1 = (buf.reshape(-1, ROW_BLOCK, buf.shape[1])[keep].reshape(-1, buf.shape[1]) for buf in (x, z1))
+    dy = np.zeros((len(x), upstream.shape[1]), dtype=upstream.dtype)
+    for r in rows:
+        dy[r] = upstream
     a = act(z1)
     dz1 = mm_grouped(dy, experts.w2, be) * act_grad(z1)
-    dx = mm_grouped(dz1, experts.w1, be)
     g_w1, g_b1, g_w2, g_b2 = (np.zeros_like(w) for w in (experts.w1, experts.b1, experts.w2, experts.b2))
-    for e in np.flatnonzero(blocks.counts).tolist():
-        r = slice(blocks.starts[e], blocks.starts[e] + blocks.counts[e])
+    for e in np.flatnonzero(counts).tolist():
+        r = slice(starts[e], starts[e] + counts[e])
         g_w1[e], g_b1[e] = mm(dz1[r].T, x[r]), dz1[r].sum(axis=0)
         g_w2[e], g_b2[e] = mm(dy[r].T, a[r]), dy[r].sum(axis=0)
+    grads = FfnGrads(g_w1, g_b1, g_w2, g_b2)
+    if not input_grad:
+        return grads, None
+    dx = mm_grouped(dz1, experts.w1, be)
     du = np.zeros_like(upstream)
-    blocks.fold(dx, du)
-    return FfnGrads(g_w1, g_b1, g_w2, g_b2), du
+    for r in rows:
+        add = dx.take(r, axis=0)
+        add += du
+        du[...] = add
+    return grads, du
 
 
 def _route_and_lay_out(layer: MoeLayer, tokens: np.ndarray, op: str, max_rows: int | None):
@@ -522,8 +579,8 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
     def expert_rows(blocks: RowBlocks) -> np.ndarray:
         # dispatch_whole's forward, freeing input and pre-activation once used (dispatch-dense: 248 MB, not 264)
         experts = layer.experts[blocks.first:blocks.first + len(blocks.counts)]
-        a = act(_expert_products(blocks.scatter(tokens), experts.w1, experts.b1, blocks))
-        return _expert_products(a, experts.w2, experts.b2, blocks)
+        z1 = _expert_products(blocks.scatter(tokens), experts.w1, experts.b1, blocks)
+        return _expert_products(act(z1, out=z1), experts.w2, experts.b2, blocks)
 
     if threads > 1 and len(chunks) > 1:
         with single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:

@@ -301,8 +301,9 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def relu(v: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(v), 0.0)
+def relu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(v, 0), into ``out`` if given (``out=v`` works in place)."""
+    return np.maximum(np.asarray(v), 0.0, out=out)
 
 
 def relu_grad(v: np.ndarray) -> np.ndarray:
@@ -315,11 +316,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(v: np.ndarray) -> np.ndarray:
-    """tanh-form gelu (self-consistent with :func:`gelu_grad`)."""
+def gelu(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """tanh-form gelu (self-consistent with :func:`gelu_grad`), into ``out`` if given (``out=v`` works in place)."""
     v = np.asarray(v)
     inner = _GELU_C * (v + _GELU_A * v**3)
-    return 0.5 * v * (1.0 + np.tanh(inner))
+    return np.multiply(0.5 * v, 1.0 + np.tanh(inner), out=out)
 
 
 def gelu_grad(v: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moeforge import FfnParams, MoeConfig, expand_supernet, make_rng
+from moeforge import FfnParams, MoeConfig, MoeLayer, RouterParams, expand_supernet, make_rng
 
 # populated by test_acceptance.report(); echoed after the run so the
 # per-criterion lines survive pytest's output capture
@@ -44,6 +44,13 @@ def random_layer(rng, token_dim=8, hidden_dim=16, n_replicas=3, granularity=2,
         layer.router.w_r = layer.router.w_r + perturb * rng.normal(size=layer.router.w_r.shape)
         layer.router.b_r = layer.router.b_r + perturb * rng.normal(size=layer.router.b_r.shape)
     return layer, base, cfg
+
+
+def cast_layer(layer, dtype):
+    """A copy of the layer with every array cast to dtype."""
+    e, r = layer.experts, layer.router
+    return MoeLayer(layer.config, FfnParams(*(a.astype(dtype) for a in (e.w1, e.b1, e.w2, e.b2)), e.activation),
+                    RouterParams(r.w_r.astype(dtype), r.b_r.astype(dtype)))
 
 
 @pytest.fixture

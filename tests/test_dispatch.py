@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from moeforge import ffn, moe, numkernel
-from moeforge.ffn import FfnParams
-from moeforge.moe import (MoeConfig, MoeLayer, RouterParams, RoutingTrace, dispatch_batch, dispatch_loop,
-                          expand_supernet)
+from moeforge.moe import MoeConfig, RoutingTrace, dispatch_batch, dispatch_loop, expand_supernet
 from moeforge.numkernel import ShapeError, make_rng
 
-from conftest import random_ffn, random_layer
+from conftest import cast_layer, random_ffn, random_layer
 
 
 def _record_chunks(monkeypatch, cap):
@@ -143,18 +141,12 @@ def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     _assert_identical(out, dispatch_loop(layer, tokens))
 
 
-def _cast_layer(layer, dtype):
-    e, r = layer.experts, layer.router
-    return MoeLayer(layer.config, FfnParams(*(a.astype(dtype) for a in (e.w1, e.b1, e.w2, e.b2)), e.activation),
-                    RouterParams(r.w_r.astype(dtype), r.b_r.astype(dtype)))
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_chunked_rows_equal_rows_dispatched_alone(rng, monkeypatch, dtype):
     # a batch cut into several chunks gives its first rows the bits those
     # rows get dispatched alone, in fewer chunks, on one thread or a pool
     layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2, top_k=3, perturb=0.5)
-    layer = _cast_layer(layer, dtype)
+    layer = cast_layer(layer, dtype)
     tokens = rng.normal(size=(2000, cfg.token_dim)).astype(dtype)
     chunks = _record_chunks(monkeypatch, 2**15)
     whole = dispatch_batch(layer, tokens)
@@ -177,7 +169,7 @@ def test_chunk_boundaries_equal_the_loop(monkeypatch, shape, dtype):
     layer, _, cfg = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k, perturb=0.5)
     # expert 1 takes every token, and its 300 rows alone outgrow a chunk
     layer.router.b_r[1] += 50.0
-    layer = _cast_layer(layer, dtype)
+    layer = cast_layer(layer, dtype)
     tokens = rng.normal(size=(300, token_dim)).astype(dtype)
     reference = dispatch_loop(layer, tokens)
     chunks = _record_chunks(monkeypatch, 2**11)

@@ -24,7 +24,7 @@ from moeforge.ffn import ffn_backward_batch, init_ffn
 from moeforge.moe import MoeConfig, balance_loss_backward, dispatch_loop, expand_supernet
 from moeforge.numkernel import ShapeError, make_rng, mm
 
-from conftest import random_ffn, random_layer
+from conftest import cast_layer, random_ffn, random_layer
 
 import moeforge.moe
 
@@ -457,6 +457,75 @@ def test_collect_grads_bitwise_equals_per_expert_loop(dims, top_k, n_tokens, thr
                 assert row.tobytes() == getattr(want, field).tobytes()
     assert np.array_equal(grads["input_w"], map_w)
     assert np.array_equal(grads["input_b"], map_b)
+
+
+# (token_dim, hidden_dim, n_replicas, granularity), top_k, batch tokens, probe: the probe's
+# tokens are the batch's repeated ("same"), so every batch expert's blocks hold probe rows
+# too, or fresh draws ("fresh"); a batch of 1; top_k = n_experts. Every probe ends in a
+# non-finite row, which the batch's backward must never read.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("activation", ["relu", "gelu"])
+@pytest.mark.parametrize("dims,top_k,n_tokens,probe", [((6, 12, 2, 2), 0, 45, "fresh"), ((6, 12, 2, 2), 0, 1, "same"),
+                                                       ((8, 16, 4, 4), 2, 20, "same"), ((5, 8, 3, 2), 6, 9, "fresh"),
+                                                       ((5, 8, 3, 2), 6, 1, "same")])
+def test_joint_layout_backward_equals_the_batch_only_backward(dims, top_k, n_tokens, probe, activation, dtype):
+    from moeforge.harness import ToyModel, _backward, _model_forward
+    from moeforge.moe import dispatch_whole, grouped_backward
+
+    token_dim, hidden_dim, n_replicas, granularity = dims
+    rng = make_rng(47)
+    base = init_toy_model(token_dim, hidden_dim, seed=47, dtype=dtype)
+    layer, _, _ = random_layer(rng, token_dim, hidden_dim, n_replicas, granularity, top_k=top_k or None)
+    layer.experts.activation = activation
+    layer = cast_layer(layer, dtype)
+    model = ToyModel(base.input_w, base.input_b, layer, base.head_w, base.head_b)
+    tokens, targets = (rng.normal(size=(n_tokens, token_dim)).astype(dtype) for _ in range(2))
+    extra = np.repeat(tokens, 3, axis=0) if probe == "same" else rng.normal(size=(50, token_dim)).astype(dtype)
+    joint = np.concatenate([tokens, extra, np.full((1, token_dim), np.inf, dtype=dtype)])
+    upstream = rng.normal(size=(n_tokens, token_dim)).astype(dtype)
+    with np.errstate(all="ignore"):  # the non-finite probe row's own forward
+        _, _, saved = dispatch_whole(layer, tokens)
+        _, _, saved_joint = dispatch_whole(layer, joint)
+        fwd, fwd_joint = _model_forward(model, tokens, None), _model_forward(model, joint, None)
+    for input_grad in (True, False):
+        g, du = grouped_backward(layer.experts, saved, upstream, input_grad)
+        g_joint, du_joint = grouped_backward(layer.experts, saved_joint, upstream, input_grad)
+        for field in ("w1", "b1", "w2", "b2"):
+            assert getattr(g_joint, field).tobytes() == getattr(g, field).tobytes(), (field, input_grad)
+        assert (du_joint is None and du is None) if not input_grad else du_joint.tobytes() == du.tobytes()
+        grads, mse, aux, trace = _backward(model, fwd, tokens, targets, 0.01, input_grad)
+        grads_j, mse_j, aux_j, trace_j = _backward(model, fwd_joint, tokens, targets, 0.01, input_grad)
+        assert grads.keys() == grads_j.keys() and ("input_w" in grads) == input_grad
+        assert all(grads_j[name].tobytes() == grads[name].tobytes() for name in grads), input_grad
+        assert (mse_j, aux_j) == (mse, aux)
+        assert trace_j.scores.tobytes() == trace.scores.tobytes() and np.array_equal(trace_j.selected, trace.selected)
+
+
+def test_one_forward_per_training_step(monkeypatch):
+    # step 0's batch, four joint forwards of the next batch with the probe, the last probe and the final evaluation
+    import moeforge.harness as harness
+
+    calls, inside = [], []
+    real_forward, real_loop = harness._model_forward, harness._train_loop
+
+    def forward(model, tokens, threads=1):
+        calls.append((len(tokens), threads))
+        return real_forward(model, tokens, threads)
+
+    def loop(task, model, cfg):
+        calls.clear()
+        result = real_loop(task, model, cfg)
+        inside.append(list(calls))
+        return result
+
+    monkeypatch.setattr(harness, "_model_forward", forward)
+    monkeypatch.setattr(harness, "_train_loop", loop)
+    task = make_task(3, 6, seed=1)
+    cfg = TrainConfig(steps=5, batch=16, eval_tokens=100, probe_tokens=32, threads=2)
+    base = pretrain(task, init_toy_model(6, 12, seed=2), cfg)
+    moe_tune(task, base.model, MoeConfig(token_dim=6, hidden_dim=12, n_replicas=2), cfg)
+    want = [(16, None)] + [(48, None)] * 4 + [(32, None), (100, 2)]
+    assert inside == [want, want]
 
 
 class _PerNameAdamW:
