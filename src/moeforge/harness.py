@@ -15,8 +15,9 @@ routed mixture can dedicate experts per pattern.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from typing import Optional
 
@@ -322,6 +323,18 @@ def _parameters(model: ToyModel):
     yield "input_b", "map", model.input_b
 
 
+def _trace_head(trace: RoutingTrace, n: int) -> RoutingTrace:
+    """The trace of the first ``n`` tokens: a row view of each of its fields.
+
+    It is not checked again, as a stack's ``FfnParams`` view is not: a row
+    slice keeps every invariant the whole trace was checked for.
+    """
+    head = copy.copy(trace)  # no __init__, so no __post_init__ check
+    for f in fields(trace):
+        setattr(head, f.name, getattr(trace, f.name)[:n])
+    return head
+
+
 def _backward(model: ToyModel, fwd, tokens: np.ndarray, targets: np.ndarray, alpha: float, map_grad: bool = True):
     """Backward over the batch ``tokens``, the first rows of ``fwd``; returns as :func:`_collect_grads`.
 
@@ -345,7 +358,7 @@ def _backward(model: ToyModel, fwd, tokens: np.ndarray, targets: np.ndarray, alp
         grads.update(_ffn_named("block", block_grads))
         aux = 0.0
     else:
-        layer, trace = model.block, trace[:n]
+        layer, trace = model.block, _trace_head(trace, n)
         g, du = grouped_backward(layer.experts, saved, dv, map_grad)
         grads.update(_ffn_named("experts", g))
         aux = load_balance_loss(trace)

@@ -151,18 +151,6 @@ class RoutingTrace:
         if not np.all(np.diff(self.selected, axis=1) > 0):
             raise ValueError("RoutingTrace: selected experts must ascend strictly along every row")
 
-    def __getitem__(self, rows: slice) -> "RoutingTrace":
-        """The trace of a run of tokens: row views of both arrays.
-
-        It is not checked again: a row slice keeps every invariant the
-        whole trace was checked for, as a stack's ``FfnParams`` view does.
-        """
-        if not isinstance(rows, slice):
-            raise TypeError(f"RoutingTrace rows are taken by slice, got {type(rows).__name__}")
-        view = object.__new__(RoutingTrace)
-        view.scores, view.selected = self.scores[rows], self.selected[rows]
-        return view
-
     @property
     def n_tokens(self) -> int:
         return self.scores.shape[0]
@@ -375,11 +363,16 @@ class RowBlocks(NamedTuple):
         """Add each assignment's padded row into its token's row of ``out``; ``padded`` is consumed.
 
         Slot by slot, or expert by expert where the run holds fewer live
-        experts than slots (a dispatch-dense chunk holds one). Either way
-        each row of ``out`` gets the run's experts in ascending order: slots
-        ascend with the expert index, and an expert's rows hold distinct
-        tokens. Take (or an expert's slice), add and store back costs less
-        than a fancy-indexed ``+=``.
+        experts than slots: there that makes fewer gathers and stores, each
+        adding into an expert's slice of ``padded`` where a slot takes a copy
+        of its rows. Either way each row of ``out`` gets the run's experts in
+        ascending order: slots ascend with the expert index, and an expert's
+        rows hold distinct tokens. Take (or a slice), add and store back
+        costs less than a fancy-indexed ``+=``. Fold alone, 40 alternating
+        calls on 2 vCPUs, expert by expert against slot by slot: 1.19x
+        faster (38 of 40) over dispatch-dense's 16 one-expert runs (2
+        slots), 1.09x (39 of 40) over dispatch-fine's 128 (8 slots), and 8x
+        slower over a tune step's one run of 16 experts in 2 slots.
         """
         live = np.flatnonzero(self.counts).tolist()
         if len(live) < len(self.slots):
@@ -495,31 +488,30 @@ def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.nda
     product and its fold). The forward may have carried more tokens after
     these, as a training batch carries the probe: the layout's sort is
     stable, so each expert's rows hold these tokens first, and each weight
-    gradient reduces over exactly those rows. Row e of each gradient bitwise
-    equals ``ffn_backward_batch`` of expert e over these tokens, or is zero
-    if e got none of them, and input gradients add per expert in ascending
-    order: the row-wise products ``dz1`` and ``dx`` are grouped, while the
+    gradient reduces over exactly those rows. The backward keeps only the
+    blocks that hold these tokens' rows, each expert's first ones, in a
+    layout of their own; a later token's row left in them, and padding, gets
+    a zero upstream and is never read. Row e of each gradient bitwise equals
+    ``ffn_backward_batch`` of expert e over these tokens, or is zero if e
+    got none of them, and input gradients add per expert in ascending order:
+    the row-wise products ``dz1`` and ``dx`` are grouped, while the
     weight-gradient products, which reduce over an expert's token count, run
     per expert on row slices of the padded buffers: padding would change the
-    length of their reduction, which a BLAS may round differently. When the
-    forward carried later tokens, the backward keeps only the blocks that
-    hold these tokens' rows, each expert's first ones; rows of later tokens
-    left in those blocks, and padding, get a zero upstream and are never read.
+    length of their reduction, which a BLAS may round differently. Over a
+    default 200-step tune (64 tokens, a 512-token probe) the kept blocks
+    averaged 8.5 of the joint layout's 24.4.
     """
     blocks, x, z1 = saved
-    n = len(upstream)
     act, act_grad = activation_pair(experts.activation)
-    be, starts, counts = blocks.block_expert, blocks.starts, blocks.counts
-    rows = [r[:n] for _, r in blocks.slots]  # one run: each slot's rows, by token
-    if n < len(blocks.slots[0][1]):
-        # keep only the blocks that hold these tokens' rows, each expert's first ones
-        counts = np.bincount(be[np.concatenate(rows) // ROW_BLOCK], minlength=len(counts))
-        held = -(-counts // ROW_BLOCK)
-        first = np.cumsum(held) - held
-        keep = np.repeat(starts // ROW_BLOCK - first, held) + np.arange(first[-1] + held[-1])
-        rows = [r + (first * ROW_BLOCK - starts)[be[r // ROW_BLOCK]] for r in rows]
-        be, starts = be[keep], first * ROW_BLOCK
-        x, z1 = (buf.reshape(-1, ROW_BLOCK, buf.shape[1])[keep].reshape(-1, buf.shape[1]) for buf in (x, z1))
+    rows = [r[:len(upstream)] for _, r in blocks.slots]  # one run: each slot's rows, by token
+    # the blocks holding these tokens' rows, each expert's first ones, laid out again without the rest
+    counts = np.bincount(blocks.block_expert[np.concatenate(rows) // ROW_BLOCK], minlength=len(blocks.counts))
+    held = -(-counts // ROW_BLOCK)
+    starts = (np.cumsum(held) - held) * ROW_BLOCK
+    keep = np.repeat((blocks.starts - starts) // ROW_BLOCK, held) + np.arange(held.sum())
+    rows = [r + (starts - blocks.starts)[blocks.block_expert[r // ROW_BLOCK]] for r in rows]
+    be = blocks.block_expert[keep]
+    x, z1 = (buf.reshape(-1, ROW_BLOCK, buf.shape[1])[keep].reshape(-1, buf.shape[1]) for buf in (x, z1))
     dy = np.zeros((len(x), upstream.shape[1]), dtype=upstream.dtype)
     for r in rows:
         dy[r] = upstream

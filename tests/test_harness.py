@@ -501,6 +501,18 @@ def test_joint_layout_backward_equals_the_batch_only_backward(dims, top_k, n_tok
         assert trace_j.scores.tobytes() == trace.scores.tobytes() and np.array_equal(trace_j.selected, trace.selected)
 
 
+def test_trace_head_is_a_row_view():
+    from moeforge.harness import _trace_head
+    from moeforge.moe import RoutingTrace
+
+    trace = RoutingTrace(np.arange(12.0).reshape(4, 3), np.array([[0, 1], [1, 2], [0, 2], [0, 1]]))
+    head = _trace_head(trace, 3)
+    assert (head.n_tokens, head.n_experts, head.top_k) == (3, 3, 2)
+    assert np.shares_memory(head.scores, trace.scores) and np.shares_memory(head.selected, trace.selected)
+    assert np.array_equal(head.selected, trace.selected[:3]) and np.array_equal(head.scores, trace.scores[:3])
+    assert trace.n_tokens == 4
+
+
 def test_one_forward_per_training_step(monkeypatch):
     # step 0's batch, four joint forwards of the next batch with the probe, the last probe and the final evaluation
     import moeforge.harness as harness

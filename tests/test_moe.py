@@ -334,15 +334,6 @@ class TestRoutingTrace:
         with pytest.raises(ValueError, match="ascend strictly"):
             _selection_trace(np.array([[0, 1], row]), 5)
 
-    def test_row_slice_is_a_view(self):
-        trace = RoutingTrace(np.arange(12.0).reshape(4, 3), np.array([[0, 1], [1, 2], [0, 2], [0, 1]]))
-        head = trace[:3]
-        assert (head.n_tokens, head.n_experts, head.top_k) == (3, 3, 2)
-        assert np.shares_memory(head.scores, trace.scores) and np.shares_memory(head.selected, trace.selected)
-        assert np.array_equal(head.selected, trace.selected[:3]) and np.array_equal(head.scores, trace.scores[:3])
-        with pytest.raises(TypeError, match="by slice"):
-            trace[0]
-
 
 class TestRowBlocks:
     """``row_blocks`` groups a trace's selection by expert and lays the groups out in row blocks."""
