@@ -115,10 +115,11 @@ def ffn_forward_batch(p: FfnParams, x: np.ndarray) -> np.ndarray:
     return mm(hidden, p.w2.T) + p.b2
 
 
-def ffn_backward_batch(p: FfnParams, x: np.ndarray, upstream: np.ndarray):
+def ffn_backward_batch(p: FfnParams, x: np.ndarray, upstream: np.ndarray, input_grad: bool = True):
     """Chain-rule gradients for a batch.
 
-    Returns (FfnGrads summed over the batch, input gradient of shape (tokens, dim)).
+    Returns (FfnGrads summed over the batch, input gradient of shape
+    (tokens, dim), or None without ``input_grad``, which skips its product).
     """
     x = np.asarray(x)
     upstream = np.asarray(upstream)
@@ -134,6 +135,5 @@ def ffn_backward_batch(p: FfnParams, x: np.ndarray, upstream: np.ndarray):
     dz1 = mm(upstream, p.w2) * act_grad(z1)
     g_w1 = mm(dz1.T, x)
     g_b1 = dz1.sum(axis=0)
-    dx = mm(dz1, p.w1)
-    return FfnGrads(g_w1, g_b1, g_w2, g_b2), dx
+    return FfnGrads(g_w1, g_b1, g_w2, g_b2), mm(dz1, p.w1) if input_grad else None
 

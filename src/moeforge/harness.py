@@ -354,7 +354,7 @@ def _backward(model: ToyModel, fwd, tokens: np.ndarray, targets: np.ndarray, alp
     dv = mm(dy, model.head_w)
 
     if model.kind == "dense":
-        block_grads, du = ffn_backward_batch(model.block, u, dv)
+        block_grads, du = ffn_backward_batch(model.block, u, dv, map_grad)
         grads.update(_ffn_named("block", block_grads))
         aux = 0.0
     else:
@@ -611,7 +611,7 @@ def _gradcheck_instance(rng: np.random.Generator, dims: tuple[int, int, int, int
             ranked = np.sort(trace.scores, axis=1)[:, ::-1]
             if np.min(ranked[:, moe_cfg.top_k - 1] - ranked[:, moe_cfg.top_k]) < 1e-4:
                 continue
-        if min(np.min(np.abs(saved.z1[rows]), initial=math.inf) for _, rows in saved.blocks.slots) < 1e-3:
+        if min(np.min(np.abs(saved.z1[rows]), initial=math.inf) for _, rows in saved.blocks.slots()) < 1e-3:
             continue
         return model, tokens, targets
     raise ValueError(f"gradcheck: no well-margined instance of shape {'x'.join(map(str, dims))} in 64 draws")

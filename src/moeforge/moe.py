@@ -19,10 +19,12 @@ The pieces, in the order a layer comes to life:
   ``dispatch_batch`` sorts its trace's assignments by expert once and lays
   them out as expert-contiguous row blocks (:func:`row_blocks`), walked in
   chunks of consecutive experts under a fixed workspace cap
-  (:data:`CHUNK_ELEMENTS`), at every batch size and thread count. Each FFN
-  layer of a chunk is one grouped product over its experts, or one product
-  per expert where the weights are too large to gather, and each token's
-  rows are added into a zeroed output slot by slot, chunk after chunk. The
+  (:data:`CHUNK_ELEMENTS`), at every batch size and thread count. A chunk
+  of one live expert multiplies by that expert's own weight; each FFN layer
+  of a chunk of several is one grouped product over its experts, or one
+  product per expert where the weights are too large to gather. Each
+  token's rows are added into a zeroed output chunk after chunk, slot by
+  slot or, in a chunk of fewer live experts than slots, expert by expert. The
   output is bitwise identical to ``dispatch_loop``'s: chunks ascend by
   expert and selections ascend strictly along a row, so both add the
   selected experts' outputs in ascending expert order on top of a zero
@@ -333,6 +335,13 @@ def dispatch_loop(layer: MoeLayer, tokens: np.ndarray):
 # 10.1 / 8.0 / 7.2 / 13.4 / 14.4 ms, the tune shape at 10000 tokens 9.3 /
 # 8.7 / 9.3 / 9.8 / 12.2 ms; a tune's 512-token probe is one chunk from 2^17.
 CHUNK_ELEMENTS = 2**17
+# Multiply-adds of one expert layer (rows * dim * hidden) a chunk must average
+# to pay for a pool's hand-off. Median call at threads=2 over threads=1 by
+# that work (2 vCPUs; 10000 tokens, 16 experts at top-2 unless noted): 0.33M
+# (the tune shape) to 1.6M 1.12-1.19x; 2.2M (dispatch-fine's layout, top-8)
+# 0.87-0.89x, 2.6M 1.02-1.14x, 2.9M 0.98x, 5.2-138M (dispatch-dense) 0.86-0.92x:
+# the crossover lies between 1.6M and 2.2M at top-8 and near 2.9M at top-2.
+POOL_WORK = 2**21
 
 
 class RowBlocks(NamedTuple):
@@ -344,8 +353,9 @@ class RowBlocks(NamedTuple):
     padding rows fill its last block; block_expert holds the expert of every
     block and row_token the token of every row. A padding row repeats token
     0: products are row-stable, so it changes no other row, and it is never
-    read back. slots[j] is (tokens, rows) of the run's slot-j assignments:
-    token ids, or a slice for every token, and their rows.
+    read back. ``assigned`` is, in a layout of one run, the (tokens, top_k)
+    row of each assignment; in a run of several, the slot of every row's
+    assignment, ``top_k`` on a padding row.
     """
 
     first: int
@@ -353,11 +363,25 @@ class RowBlocks(NamedTuple):
     starts: np.ndarray
     counts: np.ndarray
     row_token: np.ndarray
-    slots: list[tuple[np.ndarray | slice, np.ndarray]]
+    top_k: int
+    assigned: np.ndarray
 
     def scatter(self, per_token: np.ndarray) -> np.ndarray:
         """The layout's copy of a (tokens, dim) array: row i is ``per_token[row_token[i]]``."""
         return per_token.take(self.row_token, axis=0)
+
+    def slots(self) -> list[tuple[np.ndarray | slice, np.ndarray]]:
+        """Per slot, (tokens, rows) of its assignments: token ids, or a slice for every token, and their rows.
+
+        A run of several builds them on each call, with one stable sort of
+        its rows by slot, so each slot's rows ascend.
+        """
+        if self.assigned.ndim == 2:
+            return [(slice(None), rows) for rows in self.assigned.T]
+        rows = np.argsort(self.assigned, kind="stable")
+        tokens = self.row_token[rows]
+        ends = [0, *np.cumsum(np.bincount(self.assigned, minlength=self.top_k)[:self.top_k]).tolist()]
+        return [(tokens[lo:hi], rows[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
     def fold(self, padded: np.ndarray, out: np.ndarray) -> None:
         """Add each assignment's padded row into its token's row of ``out``; ``padded`` is consumed.
@@ -365,24 +389,27 @@ class RowBlocks(NamedTuple):
         Slot by slot, or expert by expert where the run holds fewer live
         experts than slots: there that makes fewer gathers and stores, each
         adding into an expert's slice of ``padded`` where a slot takes a copy
-        of its rows. Either way each row of ``out`` gets the run's experts in
-        ascending order: slots ascend with the expert index, and an expert's
-        rows hold distinct tokens. Take (or a slice), add and store back
-        costs less than a fancy-indexed ``+=``. Fold alone, 40 alternating
-        calls on 2 vCPUs, expert by expert against slot by slot: 1.19x
-        faster (38 of 40) over dispatch-dense's 16 one-expert runs (2
-        slots), 1.09x (39 of 40) over dispatch-fine's 128 (8 slots), and 8x
-        slower over a tune step's one run of 16 experts in 2 slots.
+        of its rows, and builds no slot lists. Either way each row of ``out``
+        gets the run's experts in ascending order: slots ascend with the
+        expert index, and an expert's rows hold distinct tokens. Take (or a
+        slice), add and store back costs less than a fancy-indexed ``+=``.
+        Fold alone, 40 alternating calls on 2 vCPUs, expert by expert against
+        slot by slot (lists built): 1.25x faster (39 of 40) over
+        dispatch-dense's 16 one-expert runs (2 slots), 1.31x (40 of 40) over
+        dispatch-fine's 127 (8 slots), 4.3x slower over a tune step's one run
+        of 15 live experts in 2 slots. Its ``take`` beats fancy indexing
+        1.04-1.06x (33-34 of 40) over dispatch-fine's runs, and ties over
+        dispatch-dense's.
         """
         live = np.flatnonzero(self.counts).tolist()
-        if len(live) < len(self.slots):
+        if len(live) < self.top_k:
             for e in live:
                 r = slice(self.starts[e], self.starts[e] + self.counts[e])
                 add, tokens = padded[r], self.row_token[r]
-                add += out[tokens]
+                add += out.take(tokens, axis=0)
                 out[tokens] = add
             return
-        for tokens, rows in self.slots:
+        for tokens, rows in self.slots():
             add = padded.take(rows, axis=0)
             add += out[tokens]
             out[tokens] = add
@@ -401,8 +428,9 @@ def row_blocks(trace: RoutingTrace, max_rows: int | None = None) -> list[RowBloc
 
     A run holds the experts whose first padded row falls in one window of
     ``max_rows`` rows, so it spans at most ``max_rows`` rows plus its last
-    expert's; without max_rows every expert is in one run. Several runs
-    take their slots from one stable sort of the assignments by (run, slot).
+    expert's; without max_rows every expert is in one run. A run of several
+    keeps the slot of each of its rows and builds slot lists only when its
+    fold needs them (:meth:`RowBlocks.slots`).
     """
     n_experts, top_k = trace.n_experts, trace.top_k
     flat = trace.selected.ravel()
@@ -412,9 +440,9 @@ def row_blocks(trace: RoutingTrace, max_rows: int | None = None) -> list[RowBloc
     ends = np.cumsum(blocks) * ROW_BLOCK
     starts = ends - blocks * ROW_BLOCK
     rows = np.arange(flat.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    token_ids = order // top_k
+    token = order // top_k
     row_token = np.zeros(ends[-1], dtype=np.intp)
-    row_token[rows] = token_ids
+    row_token[rows] = token
     block_expert = np.repeat(np.arange(n_experts), blocks)
     # One run, such as a training batch or a tune's probe, takes each slot's
     # rows from the token-major order: a default tune step with its probe
@@ -422,22 +450,16 @@ def row_blocks(trace: RoutingTrace, max_rows: int | None = None) -> list[RowBloc
     if max_rows is None or starts[-1] < max_rows:
         pos = np.empty(len(rows), dtype=np.intp)
         pos[order] = rows
-        pos = pos.reshape(-1, top_k)
-        return [RowBlocks(0, block_expert, starts, counts, row_token, [(slice(None), c) for c in pos.T])]
+        return [RowBlocks(0, block_expert, starts, counts, row_token, top_k, pos.reshape(-1, top_k))]
     run = np.cumsum(np.diff(starts // max_rows, prepend=0) > 0)
     edges = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), n_experts]
-    keys = (len(edges) - 1) * top_k
-    key = (np.repeat(run * top_k, counts) + order % top_k).astype(np.min_scalar_type(keys - 1))
-    by_key = np.argsort(key, kind="stable")
-    bounds = [0, *np.cumsum(np.bincount(key, minlength=keys)).tolist()]
-    token_ids, rows = token_ids[by_key], rows[by_key]
+    row_slot = np.full(ends[-1], top_k, dtype=np.min_scalar_type(top_k))
+    row_slot[rows] = order - token * top_k  # order % top_k, at a third of its cost
     runs = []
-    for r, (e0, e1) in enumerate(zip(edges, edges[1:])):
+    for e0, e1 in zip(edges, edges[1:]):
         r0, r1 = int(starts[e0]), int(ends[e1 - 1])
-        b = bounds[r * top_k:(r + 1) * top_k + 1]
-        slots = [(token_ids[lo:hi], rows[lo:hi] - r0) for lo, hi in zip(b, b[1:])]
         runs.append(RowBlocks(e0, block_expert[r0 // ROW_BLOCK:r1 // ROW_BLOCK] - e0, starts[e0:e1] - r0,
-                              counts[e0:e1], row_token[r0:r1], slots))
+                              counts[e0:e1], row_token[r0:r1], top_k, row_slot[r0:r1]))
     return runs
 
 
@@ -456,22 +478,25 @@ def _expert_products(a: np.ndarray, w: np.ndarray, b: np.ndarray, blocks: RowBlo
     has mm's (ROW_BLOCK, n) @ (n, p) shape, and the bias adds element-wise.
     """
     p, n = w.shape[1:]
-    be = blocks.block_expert
-    # One grouped product gathers a weight copy for every block, n * p
+    live = np.flatnonzero(blocks.counts).tolist()
+    # One live expert owns all of a's rows: mm of its own weight, no gather.
+    # Over dispatch-fine's chunks 0.90x the grouped product's time (37 of 40
+    # alternating passes, 2 vCPUs), over dispatch-dense's 0.98x the loop's.
+    if len(live) == 1:
+        out = mm(a, w[live[0]].T).astype(np.result_type(a, w, b), copy=False)
+        out += b[live[0]]
+        return out
+    # Else one grouped product gathers a weight copy for every block, n * p
     # elements against the block's ROW_BLOCK * (n + p); dearer copies make
     # each expert multiply its own blocks by its own weight. Median
     # dispatch_batch call, own weights against gathered (2 vCPUs): 1.07-1.09x
     # the time at D=8 width 16, D=64 width 32 and D=64 width 128; 0.95x at
     # D=128 width 128, on the boundary; 0.58x at D=256 width 512.
-    if n * p <= ROW_BLOCK * (n + p):
+    if live and n * p <= ROW_BLOCK * (n + p):
+        be = blocks.block_expert
         # the bias is added in place, at the dtype ``mm(...) + b`` would have
         out = mm_grouped(a, w.transpose(0, 2, 1), be).astype(np.result_type(a, w, b), copy=False)
         out.reshape(-1, ROW_BLOCK, p)[...] += b[be][:, None, :]
-        return out
-    live = np.flatnonzero(blocks.counts).tolist()
-    if len(live) == 1:  # its blocks are all of a's rows (a dispatch-dense chunk): mm's output is the result
-        out = mm(a, w[live[0]].T).astype(np.result_type(a, w, b), copy=False)
-        out += b[live[0]]
         return out
     out = np.empty((len(a), p), dtype=np.result_type(a, w, b))
     for e in live:
@@ -503,7 +528,7 @@ def grouped_backward(experts: FfnParams, saved: GroupedForward, upstream: np.nda
     """
     blocks, x, z1 = saved
     act, act_grad = activation_pair(experts.activation)
-    rows = [r[:len(upstream)] for _, r in blocks.slots]  # one run: each slot's rows, by token
+    rows = [r[:len(upstream)] for _, r in blocks.slots()]  # one run: each slot's rows, by token
     # the blocks holding these tokens' rows, each expert's first ones, laid out again without the rest
     counts = np.bincount(blocks.block_expert[np.concatenate(rows) // ROW_BLOCK], minlength=len(blocks.counts))
     held = -(-counts // ROW_BLOCK)
@@ -551,12 +576,14 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
 
     The assignments are sorted by expert once and laid out in row blocks
     cut into chunks of consecutive experts under a workspace cap
-    (:func:`row_blocks`, CHUNK_ELEMENTS). Each chunk's expert
-    outputs (:func:`_expert_products`) are added into a zeroed output slot by
-    slot. With ``threads`` above 1, a pool computes the chunks while the
-    calling thread adds them in chunk order, BLAS held at one thread: at the
-    bench-dispatch default shape on 2 vCPUs, 0.23 s a call against 0.33 s
-    with BLAS threads on top. Each chunk runs in a copy of the caller's
+    (:func:`row_blocks`, CHUNK_ELEMENTS). Each chunk's expert outputs
+    (:func:`_expert_products`) are added into a zeroed output
+    (:meth:`RowBlocks.fold`). With ``threads`` above 1 and chunks of
+    POOL_WORK multiply-adds or more on average, a pool computes the chunks
+    while the calling thread adds them in chunk order, BLAS held at one
+    thread: at the bench-dispatch default shape on 2 vCPUs, 0.23 s a call
+    against 0.33 s with BLAS threads on top. Smaller chunks all run on the
+    calling thread. Each chunk runs in a copy of the caller's
     context, so the caller's ``np.errstate`` holds in the pool too. Chunks
     ascend by expert and selections ascend strictly along a row, so every
     token gets zero plus its experts in ascending order, as in
@@ -574,7 +601,8 @@ def dispatch_batch(layer: MoeLayer, tokens: np.ndarray, threads: int = 1):
         z1 = _expert_products(blocks.scatter(tokens), experts.w1, experts.b1, blocks)
         return _expert_products(act(z1, out=z1), experts.w2, experts.b2, blocks)
 
-    if threads > 1 and len(chunks) > 1:
+    work = sum(len(blocks.row_token) for blocks in chunks) * dim * hidden
+    if threads > 1 and len(chunks) > 1 and work >= POOL_WORK * len(chunks):
         with single_blas_thread(), ThreadPoolExecutor(max_workers=threads) as pool:
             contexts = [contextvars.copy_context() for _ in chunks]  # one each: a Context admits one thread
             for blocks, rows in zip(chunks, pool.map(lambda c, b: c.run(expert_rows, b), contexts, chunks)):

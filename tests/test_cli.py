@@ -765,10 +765,9 @@ def test_manifest_lists_every_output_with_its_digest(tmp_path, command):
         assert hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
 
 
-# np.errstate is a context variable, and dispatch_batch's pool threads run each chunk in a copy of the
-# caller's context: the evaluation's silenced overflow stays silent at every thread count, so a gelu
-# tune of one far pattern prints its verdict alone, no numpy warning before it. The default sizes
-# give the 10,000-token evaluations more than one chunk, so two threads run them on the pool.
+# The evaluation's silenced overflow stays silent at every thread count, so a gelu tune of one far
+# pattern prints its verdict alone, no numpy warning before it. (At the default sizes the chunks are
+# too small for the pool; tests/test_dispatch.py checks that pool workers keep the caller's error state.)
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pool_workers_keep_the_callers_error_state(tmp_path, threads):
     config, far = tmp_path / "config.json", tmp_path / "far.json"

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,7 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
     def failing(a, w, b, blocks):
         raise RuntimeError("expert failed")
 
+    monkeypatch.setattr(moe, "POOL_WORK", 0)  # every chunk goes to the pool, however small
     previous = get()
     put(2)
     try:
@@ -120,6 +122,20 @@ def test_pool_holds_blas_at_one_thread_and_restores_it(rng, monkeypatch):
         put(previous)
 
 
+def test_pool_workers_keep_the_callers_error_state(rng, monkeypatch):
+    # np.errstate is a context variable, and the pool runs each chunk in a copy of the
+    # caller's context: gelu's overflow, silenced by the caller, stays silent in a worker
+    layer, _, cfg = random_layer(rng, n_replicas=4, granularity=2)
+    layer.experts.activation = "gelu"
+    tokens = 1e200 * rng.normal(size=(200, cfg.token_dim))
+    chunks = _record_chunks(monkeypatch, 2**10)
+    monkeypatch.setattr(moe, "POOL_WORK", 0)  # every chunk goes to the pool, however small
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        dispatch_batch(layer, tokens, threads=2)
+    assert len(chunks[0][1]) > 1
+
+
 def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     # chunks of low experts finish last; they must still be added in
     # ascending expert order, so the bits match one thread and the loop
@@ -128,6 +144,7 @@ def test_out_of_order_completion_keeps_ascending_adds(rng, monkeypatch):
     tokens = rng.normal(size=(97, cfg.token_dim)) * 100.0
     reference = dispatch_batch(layer, tokens, threads=1)
     chunks = _record_chunks(monkeypatch, 2**10)
+    monkeypatch.setattr(moe, "POOL_WORK", 0)  # every chunk goes to the pool, however small
     real = moe._expert_products
 
     def late_for_low_experts(a, w, b, blocks):
@@ -177,6 +194,70 @@ def test_chunk_boundaries_equal_the_loop(monkeypatch, shape, dtype):
         _assert_identical(dispatch_batch(layer, tokens, threads), reference)
     max_rows, runs = chunks[0]
     assert len(runs) > 2 and max_rows < 300
+
+
+def test_one_expert_chunks_gather_no_weights_and_build_no_slot_lists(monkeypatch):
+    # dispatch-fine's shape (D=64, 128 experts of width 32, top-8): 1024 tokens under a
+    # 16th of the chunk cap lay out as 16384 tokens do under the whole cap. Each expert's
+    # ~64 rows outgrow a 36-row window, so a chunk holds one expert, which multiplies by
+    # its own weight and folds without slot lists
+    rng = make_rng(5)
+    layer = expand_supernet(random_ffn(rng, 64, 256), MoeConfig(token_dim=64, hidden_dim=256, n_replicas=16,
+                                                                granularity=8, top_k=8, seed=1))
+    layer.router.w_r = layer.router.w_r + 0.5 * rng.normal(size=layer.router.w_r.shape) / 8.0
+    tokens = rng.normal(size=(1024, 64))
+    reference = dispatch_loop(layer, tokens[:64])
+    chunks = _record_chunks(monkeypatch, 2**13)
+    grouped, slot_lists = [], []
+    real_grouped, real_slots = moe.mm_grouped, moe.RowBlocks.slots
+    monkeypatch.setattr(moe, "mm_grouped", lambda *args: grouped.append(1) or real_grouped(*args))
+    monkeypatch.setattr(moe.RowBlocks, "slots", lambda blocks: slot_lists.append(1) or real_slots(blocks))
+    out, trace = dispatch_batch(layer, tokens)
+    (max_rows, runs), = chunks
+    assert max_rows == 36 and len(runs) >= 100
+    assert all(np.count_nonzero(run.counts) <= 1 for run in runs)
+    assert grouped == [] and slot_lists == []
+    _assert_identical((out[:64], RoutingTrace(trace.scores[:64], trace.selected[:64])), reference)
+
+
+# a chunk of one live expert among several: its product takes the expert's own
+# weight, small enough to gather or not, with the grouped product's bits
+@pytest.mark.parametrize("dims", [(8, 16), (160, 320)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_expert_products_equal_the_grouped_product(dims, dtype):
+    n, p = dims
+    rng = make_rng(n + p)
+    w = rng.normal(size=(3, p, n)).astype(dtype)
+    b = rng.normal(size=(3, p)).astype(dtype)
+    trace = RoutingTrace(np.zeros((150, 3)), np.full((150, 1), 2))
+    [blocks] = moe.row_blocks(trace)
+    a = blocks.scatter(rng.normal(size=(150, n)).astype(dtype))
+    be = blocks.block_expert
+    grouped = numkernel.mm_grouped(a, w.transpose(0, 2, 1), be)
+    grouped.reshape(-1, numkernel.ROW_BLOCK, p)[...] += b[be][:, None, :]
+    got = moe._expert_products(a, w, b, blocks)
+    assert len(be) == 3 and got.dtype == dtype
+    assert got.tobytes() == grouped.tobytes()
+
+
+@pytest.mark.parametrize("shape, pooled", [
+    # tune's evaluation: 10000 tokens in 8 chunks of ~2600 rows at D=8 width 16, 0.33M multiply-adds each
+    ((10000, 8, 32), False),
+    # dispatch-dense's experts (D=256 width 512): a one-block chunk is 8.4M multiply-adds
+    ((64, 256, 1024), True),
+])
+def test_pool_takes_only_chunks_worth_the_hand_off(monkeypatch, shape, pooled):
+    t, d, h = shape
+    rng = make_rng(t)
+    layer, _, cfg = random_layer(rng, d, h, n_replicas=8, granularity=2, perturb=0.0)
+    tokens = rng.normal(size=(t, d))
+    reference = dispatch_batch(layer, tokens, threads=1)
+    chunks = _record_chunks(monkeypatch, moe.CHUNK_ELEMENTS)
+    pools, real = [], moe.ThreadPoolExecutor
+    monkeypatch.setattr(moe, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or real(**kw))
+    _assert_identical(dispatch_batch(layer, tokens, threads=2), reference)
+    assert len(chunks[0][1]) > 1
+    assert pools == ([{"max_workers": 2}] if pooled else [])
 
 
 def test_no_slot_sized_buffer():

@@ -131,6 +131,10 @@ def test_backward_batch_accumulates(rng):
             acc.b2 += g.b2
     assert np.allclose(batch_grads.w1, acc.w1, atol=1e-12)
     assert np.allclose(batch_grads.b2, acc.b2, atol=1e-12)
+    # without the input gradient: the same parameter gradients, and no dx
+    grads, dx = ffn_backward_batch(p, x, upstream, input_grad=False)
+    assert dx is None
+    assert all(np.array_equal(getattr(grads, f), getattr(batch_grads, f)) for f in ("w1", "b1", "w2", "b2"))
 
 
 def test_param_validation():

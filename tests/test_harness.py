@@ -540,6 +540,29 @@ def test_one_forward_per_training_step(monkeypatch):
     assert inside == [want, want]
 
 
+def test_frozen_map_pretrain_step_skips_the_input_gradient(monkeypatch):
+    # the dense block's backward drops its dx product when the input map is frozen:
+    # a step makes one ffn product fewer than a step that trains the map
+    import moeforge.ffn as ffn
+
+    calls = []
+    real = ffn.mm
+    monkeypatch.setattr(ffn, "mm", lambda a, b: calls.append(1) or real(a, b))
+    task = make_task(3, 6, seed=1)
+
+    def products_per_step(map_trained):
+        counts = []
+        for steps in (2, 3):
+            calls.clear()
+            cfg = TrainConfig(steps=steps, batch=16, eval_tokens=100, probe_tokens=32,
+                              trainable={"moe": True, "head": True, "map": map_trained})
+            pretrain(task, init_toy_model(6, 12, seed=2), cfg)
+            counts.append(len(calls))
+        return counts[1] - counts[0]
+
+    assert products_per_step(False) == products_per_step(True) - 1 == 6
+
+
 class _PerNameAdamW:
     """AdamW with one state entry per name, as it was before stacked steps.
 

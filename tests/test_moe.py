@@ -352,13 +352,13 @@ class TestRowBlocks:
             blocks = -(-run.counts // ROW_BLOCK)
             assert np.array_equal(run.block_expert, np.repeat(np.arange(len(blocks)), blocks))
             assert np.array_equal(run.starts, (np.cumsum(blocks) - blocks) * ROW_BLOCK)
-            assert len(run.row_token) == len(run.block_expert) * ROW_BLOCK and len(run.slots) == k
+            assert len(run.row_token) == len(run.block_expert) * ROW_BLOCK and len(run.slots()) == k
         # every assignment (t, j) appears exactly once across the runs'
         # slot-j rows, in a row of expert selected[t, j] holding token t
         for j in range(k):
             seen = []
             for run in runs:
-                tokens, rows = run.slots[j]
+                tokens, rows = run.slots()[j]
                 tokens = np.arange(t)[tokens]
                 local = run.block_expert[rows // ROW_BLOCK]
                 assert np.array_equal(run.first + local, selected[tokens, j])
@@ -388,7 +388,7 @@ class TestRowBlocks:
             [run] = row_blocks(_selection_trace(np.zeros((0, 3), dtype=np.int64), 5), max_rows)
             assert run.first == 0 and run.counts.tolist() == [0] * 5
             assert run.row_token.shape == (0,) and run.block_expert.shape == (0,)
-            assert [rows.size for _, rows in run.slots] == [0, 0, 0]
+            assert [rows.size for _, rows in run.slots()] == [0, 0, 0]
 
     def test_every_expert_selected(self):
         for max_rows in (None, 1):
@@ -400,6 +400,17 @@ class TestRowBlocks:
             runs = self._check(selected, 7, max_rows)
             assert len(runs) == n_runs
             assert [e.tolist() for e in _tokens_per_expert(runs)] == [[], [0, 1, 3], [1, 2], [], [0, 2, 3], [], []]
+
+    def test_slot_lists_keep_row_order(self):
+        # a run of several sorts its rows by slot stably: each slot's rows
+        # ascend, expert by expert and token by token, as the fold walks them
+        rng = np.random.default_rng(4)
+        selected = np.sort(np.argsort(rng.random((300, 12)), axis=1)[:, :4], axis=1)
+        runs = self._check(selected, 12, 4 * ROW_BLOCK)
+        assert len(runs) > 1
+        for run in runs:
+            for _, rows in run.slots():
+                assert np.all(np.diff(rows) > 0)
 
     @pytest.mark.parametrize("n_experts", [256, 257, 300, 65536, 65537, 70_000])
     def test_sort_key_widths(self, n_experts):
